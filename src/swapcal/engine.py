@@ -137,8 +137,11 @@ class TwoPointDistribution:
         return tuple(j / self.horizon for j in self.support_idx)
 
 
-def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context) -> PhiProfile:
-    """Profile of the enumerating engine: v_i = sum_{f,s} w_{f,i,s} s f(x)."""
+def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=None) -> PhiProfile:
+    """Profile of the enumerating engine: v_i = sum_{f,s} w_{f,i,s} s f(x).
+
+    ``fvals``, when given, are the member values f(x) already computed.
+    """
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
     member_count = cls.size
@@ -147,7 +150,8 @@ def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context) -> Phi
         raise ValueError("weight vector length must be 2 * N * |F|")
     n_bins = w.size // (2 * member_count)
     table = w.reshape(member_count, n_bins, 2)
-    fvals = cls.member_values(x)
+    if fvals is None:
+        fvals = cls.member_values(x)
     return PhiProfile(fvals @ (table[:, :, 0] - table[:, :, 1]))
 
 
@@ -221,12 +225,18 @@ def sample_and_round(dist: TwoPointDistribution, grid: GridConfig, rng) -> tuple
     return j / grid.T, b, b / grid.N
 
 
-def _expected_bin_mass(dist: TwoPointDistribution, prop: Property, grid: GridConfig, y: float) -> np.ndarray:
-    """Per-bin expected residual mass e_i = E_{p ~ dist}[1[p in I_i] ident(p, y)]."""
-    e = np.zeros(grid.N)
-    for j, pr in zip(dist.support_idx, dist.probs):
-        e[grid.bin_of_index(j) - 1] += pr * eval_identification(prop, j / grid.T, y)
-    return e
+def _expected_bin_mass(dist: TwoPointDistribution, prop: Property, grid: GridConfig, y: float) -> tuple[int, list[float]]:
+    """Expected residual mass e_i = E_{p ~ dist}[1[p in I_i] ident(p, y)] on the support bins.
+
+    Returns the first support bin lo and e over bins lo..hi; e is zero on
+    every other bin.
+    """
+    bins = [grid.bin_of_index(j) for j in dist.support_idx]
+    lo = bins[0]
+    e = [0.0] * (bins[-1] - lo + 1)
+    for b, j, pr in zip(bins, dist.support_idx, dist.probs):
+        e[b - lo] += pr * eval_identification(prop, j / grid.T, y)
+    return lo, e
 
 
 def gains_inefficient(
@@ -236,15 +246,19 @@ def gains_inefficient(
     x: Context,
     y: float,
     grid: GridConfig,
+    fvals=None,
 ) -> np.ndarray:
-    """Expected gains over (member, bin, sign): s * f(x) * e_bin."""
+    """Expected gains over (member, bin, sign): s * f(x) * e_bin.
+
+    ``fvals``, when given, are the member values f(x) already computed.
+    """
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
-    e = _expected_bin_mass(dist, prop, grid, y)
-    fvals = cls.member_values(x)
-    g = np.empty((cls.size, grid.N, 2))
-    g[:, :, 0] = np.outer(fvals, e)
-    g[:, :, 1] = -g[:, :, 0]
+    lo, e = _expected_bin_mass(dist, prop, grid, y)
+    if fvals is None:
+        fvals = cls.member_values(x)
+    g = np.zeros((cls.size, grid.N, 2))
+    g[:, lo - 1 : lo - 1 + len(e)] = np.multiply.outer(fvals, [(m, -m) for m in e])
     return g.reshape(-1)
 
 
@@ -259,10 +273,12 @@ def gains_efficient(
     q = np.asarray(q_values, dtype=np.float64)
     if q.size != 2 * grid.N:
         raise ValueError("need 2N learner values")
-    e = _expected_bin_mass(dist, prop, grid, y)
-    paired = q.reshape(-1, 2) * e[:, None]
-    paired[:, 1] *= -1.0
-    return paired.reshape(-1)
+    lo, e = _expected_bin_mass(dist, prop, grid, y)
+    g = np.zeros(2 * grid.N)
+    for i, mass in enumerate(e, start=lo - 1):
+        g[2 * i] = q[2 * i] * mass
+        g[2 * i + 1] = -(q[2 * i + 1] * mass)
+    return g
 
 
 @dataclass
@@ -308,6 +324,16 @@ class _ForecasterBase:
         self.phi_rows.append(phi.values)
         return rec
 
+    def _feed_experts(self, gains: np.ndarray, dist: TwoPointDistribution) -> None:
+        """Update only the experts of the support bins, the rest having gained 0.
+
+        Each member block holds 2N experts, (bin, sign) with sign innermost.
+        """
+        grid = self.grid
+        lo, hi = grid.bin_of_index(dist.support_idx[0]), grid.bin_of_index(dist.support_idx[-1])
+        window = gains.reshape(-1, 2 * grid.N)[:, 2 * (lo - 1) : 2 * hi]
+        expert_update(self.experts, window, 2 * (lo - 1))
+
 
 class EfficientForecaster(_ForecasterBase):
     """Oracle-efficient engine: 2N experts, one agnostic learner per (bin, sign).
@@ -335,30 +361,22 @@ class EfficientForecaster(_ForecasterBase):
         self.experts = expert_init(rows, grid.T)
         self.q_rows: list[np.ndarray] = []
 
-    def _q_values(self, x: Context) -> np.ndarray:
-        if self.cls.variant == "finite":
-            return self.bank.predict_all(self.cls.member_values(x))
-        return self.bank.predict_all(x.features)
-
     def step(self, x: Context, outcome_fn) -> RoundRecord:
         """Run one round; ``outcome_fn()`` reveals the label after sampling."""
         self._check_capacity()
         grid = self.grid
         weights = expert_weights(self.experts)
-        q = self._q_values(x)
+        h = self.cls.member_values(x) if self.cls.variant == "finite" else x.features
+        q = self.bank.predict_all(h)
         phi = phi_from_learners(weights, q)
         dist = solve_distribution(phi, grid)
         self._pending = sample_and_round(dist, grid, self.rng)
         y = outcome_fn()
         rec = self._finish_round(x, phi, dist, y)
         gains = gains_efficient(dist, self.prop, q, rec.y, grid)
-        expert_update(self.experts, gains)
+        self._feed_experts(gains, dist)
         outcome = eval_identification(self.prop, rec.p, rec.y)
-        row = 2 * (rec.bin - 1)
-        if self.cls.variant == "finite":
-            self.bank.observe_pair(row, self.cls.member_values(x), outcome)
-        else:
-            self.bank.observe_pair(row, x.features, outcome)
+        self.bank.observe_pair(2 * (rec.bin - 1), h, outcome)
         if self.log_gains:
             self.fed_gains.append(gains)
             self.q_rows.append(q)
@@ -387,13 +405,14 @@ class InefficientForecaster(_ForecasterBase):
         self._check_capacity()
         grid = self.grid
         weights = expert_weights(self.experts)
-        phi = phi_from_class(weights, self.cls, x)
+        fvals = self.cls.member_values(x)
+        phi = phi_from_class(weights, self.cls, x, fvals)
         dist = solve_distribution(phi, grid)
         self._pending = sample_and_round(dist, grid, self.rng)
         y = outcome_fn()
         rec = self._finish_round(x, phi, dist, y)
-        gains = gains_inefficient(dist, self.prop, self.cls, x, rec.y, grid)
-        expert_update(self.experts, gains)
+        gains = gains_inefficient(dist, self.prop, self.cls, x, rec.y, grid, fvals)
+        self._feed_experts(gains, dist)
         if self.log_gains:
             self.fed_gains.append(gains)
         return rec

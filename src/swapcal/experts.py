@@ -14,10 +14,32 @@ weights scheme with a correction term:
 The played distribution is the master-weighted mixture of the per-rate
 weight vectors.  The cap eta <= 1/4 keeps every exponent bounded by 1/4
 in magnitude, so exp(x - x**2) <= 1 + x holds along the whole update.
-Weights are stored in log space and renormalized every update (a weight
-may drift tens of thousands of log-units behind the leader over a long
-horizon, far past floating-point underflow in probability space); the
-normalized probability tables are cached alongside for cheap reads.
+
+Each expert's update depends only on its own gain, so a round need only
+touch the experts whose gain is nonzero.  An update therefore takes a
+window: columns [start, start + width) in each of ``rows`` equal blocks
+of the K experts.  A length-K vector is the full window.
+
+Weights are stored in log space and left unnormalized between
+re-anchors.  Beside them the state caches the table exp(log_weights) and
+each rate's row mass, the sum of its row.  An update adds
+g * (eta - eta**2 * g) to the window's log weights, re-exponentiates
+those cells only and corrects each row mass by the change in its cells.
+Reads divide by the row mass.  Columns are stored interleaved by block,
+so that a window is one contiguous range of columns; reads return the
+experts in order.
+
+Every 256 updates the state re-anchors: it renormalizes each row of log
+weights and recomputes the table and the exact row masses.  Log space
+matters here, because a weight may drift tens of thousands of log-units
+behind the leader over a long horizon, far past floating-point underflow
+in probability space.  Between re-anchors a touched cell moves by a
+factor in [e^(-5/16), e^(3/16)] per update.  So every cell stays below
+e^48 and a row's mass above e^-80 / K, and neither can overflow or
+underflow.  The mass corrections subtract nearly equal numbers, though,
+and their rounding error is relative to the largest mass since the last
+re-anchor.  A row mass that leaves [2^-8, 2^8] therefore re-anchors at
+once.
 
 The target contract, checked empirically by the test suite: against every
 expert k, cumulative regret is at most
@@ -28,46 +50,81 @@ gains of expert k, for fixed frozen constants c1, c2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_RATE = 0.25
 _GAIN_TOL = 1e-12
+_ANCHOR_EVERY = 256
+_MASS_BAND = (2.0**-8, 2.0**8)
 
 
-@dataclass
 class ExpertState:
-    """Mutable state; one owner, never updated concurrently."""
+    """Mutable state; one owner, never updated concurrently.
 
-    expert_count: int
-    horizon: int
-    rate_grid: np.ndarray    # (J,) rates in (0, 1/4]
-    log_weights: np.ndarray  # (J, K), each row a normalized log-distribution
-    log_master: np.ndarray   # (J,) normalized log-distribution over rates
-    round: int = 0
-    _table: np.ndarray | None = field(default=None, repr=False)
-    _master: np.ndarray | None = field(default=None, repr=False)
-    _eta_col: np.ndarray | None = field(default=None, repr=False)
-    _eta2_col: np.ndarray | None = field(default=None, repr=False)
+    Built from any finite (J, K) log weights, J being the size of the
+    horizon's rate grid; each row is normalized on construction.  The
+    master distribution starts at the prior proportional to eta**2.
+    """
+
+    def __init__(self, horizon: int, log_weights) -> None:
+        rates = rate_grid_for_horizon(horizon)
+        lw = np.array(log_weights, dtype=np.float64)
+        if lw.ndim != 2 or lw.shape[0] != rates.size or lw.shape[1] < 1:
+            raise ValueError(f"need ({rates.size}, K) log weights for horizon {horizon}, got shape {lw.shape}")
+        if not np.isfinite(lw).all():
+            raise ValueError("log weights must be finite")
+        prior = rates**2
+        self.expert_count = lw.shape[1]
+        self.horizon = horizon
+        self.rate_grid = rates
+        self.log_master = np.log(prior / prior.sum())  # (J,) normalized
+        self.round = 0
+        self._master = np.exp(self.log_master)
+        self._rate_pair = np.column_stack((rates, -(rates**2)))  # (J, 2)
+        # Columns are stored so that the last window's blocks are contiguous:
+        # expert b * K / rows + c sits in column c * rows + b.
+        self._rows = 1
+        self._log = lw - lw.max(axis=1, keepdims=True)  # (J, K), unnormalized
+        self._table = np.empty_like(lw)                 # exp(self._log)
+        self._mass = np.empty(rates.size)               # row sums of the table
+        self._anchor()
+
+    def _anchor(self) -> None:
+        """Renormalize the log weights; recompute the table and row masses."""
+        table = np.exp(self._log, out=self._table)
+        z = table.sum(axis=1, keepdims=True)
+        self._log -= np.log(z)
+        table /= z
+        self._mass = table.sum(axis=1)
+
+    def _in_expert_order(self, stored: np.ndarray) -> np.ndarray:
+        """Stored (..., K) columns put back in expert order."""
+        if self._rows == 1:
+            return stored
+        block = self.expert_count // self._rows
+        return stored.reshape(-1, block, self._rows).swapaxes(1, 2).reshape(stored.shape)
+
+    def _store_in_blocks(self, rows: int) -> None:
+        """Re-lay the columns out for windows over ``rows`` blocks."""
+        J, K = self._log.shape
+        for name in ("_log", "_table"):
+            ordered = self._in_expert_order(getattr(self, name)).reshape(J, rows, K // rows)
+            setattr(self, name, np.ascontiguousarray(ordered.swapaxes(1, 2)).reshape(J, K))
+        self._rows = rows
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """Normalized (J, K) log-distributions, one row per rate (a copy)."""
+        return self._in_expert_order(self._log) - np.log(self._mass)[:, None]
 
     def weight_table(self) -> np.ndarray:
-        """Normalized (J, K) probability table, cached between updates."""
-        if self._table is None:
-            self._table = np.exp(self.log_weights)
-        return self._table
+        """Normalized (J, K) probability table (a copy)."""
+        return self._in_expert_order(self._table) / self._mass[:, None]
 
     def master_weights(self) -> np.ndarray:
-        """Normalized (J,) master distribution, cached between updates."""
-        if self._master is None:
-            self._master = np.exp(self.log_master)
+        """Normalized (J,) master distribution."""
         return self._master
-
-    def _rate_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eta_col is None:
-            self._eta_col = np.ascontiguousarray(self.rate_grid[:, None])
-            self._eta2_col = self._eta_col * self._eta_col
-        return self._eta_col, self._eta2_col
 
 
 def rate_grid_for_horizon(T: int) -> np.ndarray:
@@ -79,41 +136,50 @@ def expert_init(K: int, T: int) -> ExpertState:
     """Uniform weights within each rate; master prior proportional to eta**2."""
     if K < 1 or T < 1:
         raise ValueError("expert count and horizon must be positive")
-    rates = rate_grid_for_horizon(T)
-    J = rates.shape[0]
-    log_weights = np.full((J, K), -math.log(K))
-    prior = rates**2
-    log_master = np.log(prior / prior.sum())
-    return ExpertState(K, T, rates, log_weights, log_master)
+    return ExpertState(T, np.full((rate_grid_for_horizon(T).size, K), -math.log(K)))
 
 
 def expert_weights(state: ExpertState) -> np.ndarray:
     """Marginal probability over experts: sum_j master(j) * weights_j."""
-    return state.master_weights() @ state.weight_table()
+    return state._in_expert_order((state._master / state._mass) @ state._table)
 
 
-def expert_update(state: ExpertState, gains: np.ndarray) -> ExpertState:
-    """Apply one round of gains (one entry per expert, each in [-1, 1])."""
+def expert_update(state: ExpertState, gains: np.ndarray, start: int = 0) -> ExpertState:
+    """Apply one round of gains, each in [-1, 1]; experts outside the window gain 0.
+
+    ``gains`` is either one entry per expert (shape (K,)) or a window of
+    shape (rows, width): row b holds the gains of experts
+    b * K / rows + [start, start + width).
+    """
     g = np.asarray(gains, dtype=np.float64)
-    if g.shape != (state.expert_count,):
-        raise ValueError(f"expected {state.expert_count} gains, got shape {g.shape}")
-    top = float(np.max(np.abs(g)))
-    if not top <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
-        raise ValueError("gains must be finite and lie in [-1, 1]")
-    eta = state.rate_grid
-    eta_col, eta2_col = state._rate_columns()
-    instance_gain = state.weight_table() @ g  # played (pre-update) expectations
-    lw = state.log_weights
-    lw += eta_col * g
-    lw -= eta2_col * (g * g)
-    # rows were normalized, so entries stay at or below the 1/4 + 1/16
-    # increment cap: exp cannot overflow and the row sum stays above e^-1/K
-    table = np.exp(lw)
-    z = table.sum(axis=1, keepdims=True)
-    lw -= np.log(z)
-    table /= z
-    state._table = table
-    scaled = eta * instance_gain
+    K = state.expert_count
+    if g.ndim == 1:
+        if g.shape != (K,) or start != 0:
+            raise ValueError(f"expected {K} gains, got shape {g.shape}")
+        g = g[None, :]
+    elif g.ndim != 2 or g.shape[0] < 1 or K % g.shape[0] != 0:
+        raise ValueError(f"gain window of shape {g.shape} does not split {K} experts into equal blocks")
+    rows, width = g.shape
+    block = K // rows
+    if not 0 <= start <= start + width <= block:
+        raise ValueError(f"window [{start}, {start + width}) lies outside the block of {block} experts")
+    if width:
+        if rows != state._rows:
+            state._store_in_blocks(rows)
+        gf = g.T.ravel()  # stored column order
+        if not np.abs(gf).max() <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
+            raise ValueError("gains must be finite and lie in [-1, 1]")
+        cols = slice(start * rows, (start + width) * rows)
+        lw = state._log[:, cols]
+        cells = state._table[:, cols]
+        before = cells.sum(axis=1)
+        instance_gain = (cells @ gf) / state._mass  # played (pre-update) expectations
+        lw += state._rate_pair @ np.array((gf, gf * gf))  # eta * g - eta**2 * g**2
+        np.exp(lw, out=cells)
+        state._mass += cells.sum(axis=1) - before
+    else:
+        instance_gain = np.zeros(state.rate_grid.size)
+    scaled = state.rate_grid * instance_gain
     lm = state.log_master
     lm += scaled - scaled * scaled
     master = np.exp(lm)
@@ -122,4 +188,8 @@ def expert_update(state: ExpertState, gains: np.ndarray) -> ExpertState:
     master /= m_z
     state._master = master
     state.round += 1
+    low, high = _MASS_BAND
+    mass = state._mass.tolist()
+    if state.round % _ANCHOR_EVERY == 0 or min(mass) < low or max(mass) > high:
+        state._anchor()
     return state

@@ -294,8 +294,21 @@ def persist_run(result: RunResult, out_dir: Path) -> None:
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{Path(path).name} is empty")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def _read_rounds(path: Path, T: int) -> list[list[str]]:
+    """Rows of a per-round log, checked to hold rounds t = 1..T in order, each complete."""
+    header, rows = read_csv(path)
+    if len(rows) != T:
+        raise ValueError(f"{path.name} holds {len(rows)} rounds, the config says T={T}")
+    for t, row in enumerate(rows, start=1):
+        if len(row) != len(header) or row[0] != str(t):
+            raise ValueError(f"{path.name}: row {t} is not a complete record of round {t}")
+    return rows
 
 
 @dataclass
@@ -353,14 +366,13 @@ def audit_run_dir(run_dir) -> AuditReport:
         raise FileNotFoundError("audit needs phi.csv and laws.csv; rerun with log_phi enabled")
     prop, _, adversary = config.build_components()
     grid = GridConfig(config.bin_count, config.T)
-    _, law_rows = read_csv(laws_path)
+    law_rows = _read_rounds(laws_path, config.T)
     laws = []
     for row in law_rows:
         params = (float(row[2]),) if row[3] == "" else (float(row[2]), float(row[3]))
         laws.append(LabelLaw(row[1], params))
-    _, phi_lines = read_csv(phi_path)
-    phi_rows = np.array([[float(v) for v in row[1:]] for row in phi_lines])
-    _, tr_rows = read_csv(run_dir / "transcript.csv")
+    phi_rows = np.array([[float(v) for v in row[1:]] for row in _read_rounds(phi_path, config.T)])
+    tr_rows = _read_rounds(run_dir / "transcript.csv", config.T)
     values = np.empty(len(tr_rows))
     for t, row in enumerate(tr_rows):
         support_lo, support_hi, prob_lo = float(row[5]), float(row[6]), float(row[7])
@@ -478,9 +490,8 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     config = ExperimentConfig.from_json(run_dir / "config.json")
     prop, cls_obj, _ = config.build_components()
     grid = GridConfig(config.bin_count, config.T)
-    _, tr_rows = read_csv(run_dir / "transcript.csv")
-    _, ctx_rows = read_csv(run_dir / "contexts.csv")
-    T = len(tr_rows)
+    tr_rows = _read_rounds(run_dir / "transcript.csv", config.T)
+    ctx_rows = _read_rounds(run_dir / "contexts.csv", config.T)
     features = np.array([[float(v) for v in row[1:]] for row in ctx_rows])
     transcript = Transcript(
         grid=grid,
@@ -500,7 +511,7 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
             {
                 "config_hash": config.config_hash(),
                 "seed": config.seed,
-                "T": T,
+                "T": config.T,
                 "N": grid.N,
                 "r": float(r),
                 "cal": cal(transcript, prop, r),

@@ -18,7 +18,7 @@ from swapcal.engine import (
     step_efficient,
     step_inefficient,
 )
-from swapcal.experts import expert_weights
+from swapcal.experts import ExpertState, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
 from swapcal.properties import marginal_identification, mean_property
 
@@ -254,9 +254,9 @@ def test_positive_profile_predicts_first_bin():
     grid = GridConfig(4, 16)
     cls = HypothesisClass.finite([ConstantOne()])
     engine = EfficientForecaster(grid, mean_property(), cls, np.random.default_rng(0))
-    engine.experts.log_weights[:, :] = -80.0
-    engine.experts.log_weights[:, 0] = 0.0  # (bin 1, +1)
-    engine.experts._table = None
+    log_weights = np.full_like(engine.experts.log_weights, -80.0)
+    log_weights[:, 0] = 0.0  # (bin 1, +1)
+    engine.experts = ExpertState(grid.T, log_weights)
     rec = engine.step(Context([0.5]), lambda: 0.0)
     assert rec.p_tilde == 0.0
     assert rec.bin == 1 and rec.p == 1.0 / grid.N
@@ -382,3 +382,20 @@ def test_inefficient_first_round_uniform_weights():
 def test_inefficient_requires_finite_class():
     with pytest.raises(ValueError):
         InefficientForecaster(GridConfig(2, 4), mean_property(), HypothesisClass.linear(3), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("engine_cls", [EfficientForecaster, InefficientForecaster])
+def test_member_values_evaluated_once_per_round(engine_cls, monkeypatch):
+    grid = GridConfig(3, 40)
+    cls = generate_group_indicators(4, 3, seed=5)
+    calls = []
+    real = cls.member_values
+    monkeypatch.setattr(cls, "member_values", lambda x: calls.append(x) or real(x))
+    engine = engine_cls(grid, mean_property(), cls, np.random.default_rng(3))
+    adv = LogisticAdversary(default_logistic_weights(3))
+    arng = np.random.default_rng(4)
+    for _ in range(40):
+        x = adv.next_context(arng)
+        law = adv.next_label_law(x)
+        engine.step(x, lambda: sample_label(law, arng))
+    assert len(calls) == 40

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swapcal.experts import ExpertState, expert_init, expert_update, expert_weights
+from swapcal.experts import ExpertState, expert_init, expert_update, expert_weights, rate_grid_for_horizon
 
 # frozen contract constants, calibrated once over the adversarial battery
 # below (worst observed ratio was about 0.51; 8 leaves an order of
@@ -105,6 +105,158 @@ def test_gain_domain_errors():
         expert_update(s, np.array([float("nan"), 0.0]))
     with pytest.raises(ValueError):
         expert_update(s, np.array([1.0]))
+
+
+def test_window_shape_errors():
+    s = expert_init(12, 64)  # three blocks of 4 when rows = 3
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros((3, 2)), start=3)  # window past the block
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros((3, 2)), start=-1)
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros((5, 2)))  # 5 blocks do not split 12 experts
+    with pytest.raises(ValueError):
+        expert_update(s, np.array([[0.0, float("nan")]] * 3), start=1)
+    with pytest.raises(ValueError):
+        expert_update(s, np.array([[0.0, 1.5]] * 3))
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros(11))  # a 1-d vector must cover all experts
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros(12), start=1)
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros((1, 1, 12)))
+    assert s.round == 0
+
+
+def test_state_from_log_weights():
+    log_weights = np.zeros((4, 3))
+    log_weights[:, 0] = 2.0
+    s = ExpertState(16, log_weights)
+    first = math.exp(2.0) / (math.exp(2.0) + 2.0)
+    np.testing.assert_allclose(expert_weights(s), [first, (1 - first) / 2, (1 - first) / 2], atol=1e-15)
+    assert_valid_distributions(s)
+    with pytest.raises(ValueError):
+        ExpertState(16, np.zeros((3, 3)))  # the horizon's rate grid has 4 rates
+    with pytest.raises(ValueError):
+        ExpertState(16, np.full((4, 3), -np.inf))
+
+
+class DenseReference:
+    """Slow reference: the whole (J, K) table exponentiated and renormalized every round."""
+
+    def __init__(self, K, T):
+        self.eta = rate_grid_for_horizon(T)
+        self.log_weights = np.full((self.eta.size, K), -math.log(K))
+        prior = self.eta**2
+        self.log_master = np.log(prior / prior.sum())
+        self.table = np.exp(self.log_weights)
+        self.master = np.exp(self.log_master)
+
+    def weights(self):
+        return self.master @ self.table
+
+    def update(self, g):
+        eta_col = self.eta[:, None]
+        instance_gain = self.table @ g
+        lw = self.log_weights
+        lw += eta_col * g
+        lw -= eta_col * eta_col * (g * g)
+        table = np.exp(lw)
+        z = table.sum(axis=1, keepdims=True)
+        lw -= np.log(z)
+        self.table = table / z
+        scaled = self.eta * instance_gain
+        lm = self.log_master
+        lm += scaled - scaled * scaled
+        master = np.exp(lm)
+        m_z = float(master.sum())
+        lm -= math.log(m_z)
+        self.master = master / m_z
+
+
+def assert_matches_dense(state, ref):
+    np.testing.assert_allclose(expert_weights(state), ref.weights(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.master_weights(), ref.master, rtol=0, atol=1e-12)
+
+
+def windowed_stream(rows, block, T, window_fn, seed=0):
+    """Feed the same gains to both updates; window_fn(t, rng) -> (start, window)."""
+    state = expert_init(rows * block, T)
+    ref = DenseReference(rows * block, T)
+    rng = np.random.default_rng(seed)
+    for t in range(T):
+        start, window = window_fn(t, rng)
+        full = np.zeros((rows, block))
+        full[:, start : start + window.shape[1]] = window
+        expert_update(state, window, start)
+        ref.update(full.reshape(-1))
+        assert_matches_dense(state, ref)
+    assert state.round == T
+    return state
+
+
+@pytest.mark.parametrize("rows,bins,T", [(1, 41, 8192), (32, 26, 4096)])
+def test_window_update_matches_dense_reference(rows, bins, T):
+    # the engines' pattern: one or two adjacent bins, both signs, in every
+    # member block; T spans 16 or more re-anchors
+    def window_fn(t, rng):
+        lo = int(rng.integers(0, bins))
+        width = 2 * min(int(rng.integers(1, 3)), bins - lo)
+        window = rng.uniform(-1, 1, (rows, width)) * rng.choice([0.05, 0.5, 1.0])
+        return 2 * lo, window
+
+    windowed_stream(rows, 2 * bins, T, window_fn)
+
+
+def test_window_update_matches_dense_under_drift():
+    # a run of maximal gains on one window drives the row masses far from 1
+    # and back, past the mass band that forces an early re-anchor
+    def window_fn(t, rng):
+        sign = 1.0 if (t // 600) % 2 == 0 else -1.0
+        return 2, np.full((1, 2), sign)
+
+    windowed_stream(1, 16, 1800, window_fn)
+
+
+def test_windows_over_changing_block_counts_match_dense():
+    K = 24
+    state, ref = expert_init(K, 512), DenseReference(K, 512)
+    rng = np.random.default_rng(9)
+    for t in range(300):
+        rows = int(rng.choice([1, 2, 3, 4, 6, 24]))
+        block = K // rows
+        width = int(rng.integers(0, block + 1))
+        start = int(rng.integers(0, block - width + 1))
+        window = rng.uniform(-1, 1, (rows, width))
+        full = np.zeros((rows, block))
+        full[:, start : start + width] = window
+        if rng.random() < 0.2:
+            expert_update(state, full.reshape(-1))
+        else:
+            expert_update(state, window, start)
+        ref.update(full.reshape(-1))
+        assert_matches_dense(state, ref)
+    np.testing.assert_allclose(np.exp(state.log_weights), ref.table, rtol=0, atol=1e-12)
+
+
+def test_zero_and_empty_windows_match_dense():
+    state, ref = expert_init(24, 64), DenseReference(24, 64)
+    rng = np.random.default_rng(5)
+    for t in range(40):
+        window = rng.uniform(-1, 1, (3, 2))
+        full = np.zeros((3, 8))
+        full[:, 4:6] = window
+        expert_update(state, window, 4)
+        ref.update(full.reshape(-1))
+    before = expert_weights(state).copy()
+    expert_update(state, np.zeros((3, 2)), 4)  # all-zero round
+    ref.update(np.zeros(24))
+    assert_matches_dense(state, ref)
+    expert_update(state, np.zeros((3, 0)), 8)  # empty window at the block's end
+    ref.update(np.zeros(24))
+    assert_matches_dense(state, ref)
+    np.testing.assert_allclose(expert_weights(state), before, rtol=0, atol=1e-12)
+    assert state.round == 42
 
 
 def test_distributions_stay_valid_under_updates():

@@ -309,3 +309,49 @@ def test_cli_audit_failure_exit_code(tmp_path, capsys):
     phi_path.write_text("\n".join(lines) + "\n")
     assert cli_main(["audit", "--run", str(out_dir)]) == 2
     capsys.readouterr()
+
+
+def _truncate(path, keep_rows):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: keep_rows + 1]) + "\n")
+
+
+@pytest.mark.parametrize("log_name", ["transcript.csv", "phi.csv", "laws.csv"])
+def test_cli_audit_rejects_truncated_logs(tmp_path, capsys, log_name):
+    cfg_path = write_config(tmp_path, T=300)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    _truncate(out_dir / log_name, 100)
+    capsys.readouterr()
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert log_name in captured.err and "T=300" in captured.err
+    (out_dir / log_name).write_text("")
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    assert f"{log_name} is empty" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=log_name):
+        audit_run_dir(out_dir)
+
+
+def test_run_dir_readers_reject_misnumbered_or_partial_rows(tmp_path):
+    cfg = small_config(T=50)
+    run(cfg, out_dir=tmp_path)
+    tr_path = tmp_path / "transcript.csv"
+    original = tr_path.read_text()
+    lines = original.splitlines()
+    lines[3], lines[4] = lines[4], lines[3]  # rounds out of order
+    tr_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="round 3"):
+        audit_run_dir(tmp_path)
+    with pytest.raises(ValueError, match="round 3"):
+        compute_metrics_for_run_dir(tmp_path, [2.0])
+    lines = original.splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]  # last record cut mid-line
+    tr_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="round 50"):
+        audit_run_dir(tmp_path)
+    tr_path.write_text(original)
+    _truncate(tmp_path / "contexts.csv", 49)
+    with pytest.raises(ValueError, match="contexts.csv"):
+        compute_metrics_for_run_dir(tmp_path, [2.0])
