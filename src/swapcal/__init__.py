@@ -28,8 +28,6 @@ from .engine import (
     phi_from_learners,
     sample_and_round,
     solve_distribution,
-    step_efficient,
-    step_inefficient,
 )
 from .experts import ExpertState, expert_init, expert_update, expert_weights
 from .harness import (
@@ -49,7 +47,6 @@ from .hypotheses import (
     LinearFixed,
     Negation,
     TestFunction,
-    evaluate,
     generate_group_indicators,
     parse_class,
     sup_correlation,
@@ -59,8 +56,6 @@ from .learners import (
     FiniteLearnerBank,
     LinearLearnerBank,
     UnitBallLearner,
-    oal_observe,
-    oal_predict,
 )
 from .metrics import BinAggregate, Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
 from .properties import (

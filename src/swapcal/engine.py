@@ -14,9 +14,12 @@ prediction point of bin i is z_i = i/N.  Raw predictions live on the grid
 {0, 1/T, ..., 1} and are tracked as integer indices so bin membership is
 exact.
 
-Expert indexing is frozen as: sign (+1 first, then -1) innermost, then
-bin, then member.  A flat gain vector g satisfies
-g[member * 2N + 2 * (bin - 1) + s] with s = 0 for +1 and s = 1 for -1.
+Expert indexing is frozen as: member innermost, then sign (+1 first,
+then -1), then bin.  Expert (bin i, sign s, member m) is
+k = (2 * (i - 1) + s) * |F| + m with s = 0 for +1 and s = 1 for -1; the
+oracle-efficient engine is the case |F| = 1, one expert per (bin, sign).
+So the experts of bins lo..hi are the one range
+[2 * (lo - 1) * |F|, 2 * hi * |F|) in both engines.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class TwoPointDistribution:
 
 
 def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=None) -> PhiProfile:
-    """Profile of the enumerating engine: v_i = sum_{f,s} w_{f,i,s} s f(x).
+    """Profile of the enumerating engine: v_i = sum_{s,f} w_{i,s,f} s f(x).
 
     ``fvals``, when given, are the member values f(x) already computed.
     """
@@ -148,11 +151,11 @@ def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=
     w = np.asarray(weights, dtype=np.float64)
     if w.size % (2 * member_count) != 0:
         raise ValueError("weight vector length must be 2 * N * |F|")
-    n_bins = w.size // (2 * member_count)
-    table = w.reshape(member_count, n_bins, 2)
+    table = w.reshape(-1, 2, member_count)  # (bin, sign, member)
     if fvals is None:
         fvals = cls.member_values(x)
-    return PhiProfile(fvals @ (table[:, :, 0] - table[:, :, 1]))
+    # a C-ordered (|F|, N) operand: an (N, |F|) one switches the BLAS kernel and moves phi in the last ulp
+    return PhiProfile(fvals @ np.subtract(table[:, 0].T, table[:, 1].T, order="C"))
 
 
 def phi_from_learners(weights: np.ndarray, q_values: np.ndarray) -> PhiProfile:
@@ -248,7 +251,7 @@ def gains_inefficient(
     grid: GridConfig,
     fvals=None,
 ) -> np.ndarray:
-    """Expected gains over (member, bin, sign): s * f(x) * e_bin.
+    """Expected gains over (bin, sign, member): s * f(x) * e_bin.
 
     ``fvals``, when given, are the member values f(x) already computed.
     """
@@ -257,8 +260,8 @@ def gains_inefficient(
     lo, e = _expected_bin_mass(dist, prop, grid, y)
     if fvals is None:
         fvals = cls.member_values(x)
-    g = np.zeros((cls.size, grid.N, 2))
-    g[:, lo - 1 : lo - 1 + len(e)] = np.multiply.outer(fvals, [(m, -m) for m in e])
+    g = np.zeros((grid.N, 2, cls.size))
+    g[lo - 1 : lo - 1 + len(e)] = np.multiply.outer([(m, -m) for m in e], fvals)
     return g.reshape(-1)
 
 
@@ -325,14 +328,11 @@ class _ForecasterBase:
         return rec
 
     def _feed_experts(self, gains: np.ndarray, dist: TwoPointDistribution) -> None:
-        """Update only the experts of the support bins, the rest having gained 0.
-
-        Each member block holds 2N experts, (bin, sign) with sign innermost.
-        """
+        """Update only the experts of the support bins, the rest having gained 0."""
         grid = self.grid
         lo, hi = grid.bin_of_index(dist.support_idx[0]), grid.bin_of_index(dist.support_idx[-1])
-        window = gains.reshape(-1, 2 * grid.N)[:, 2 * (lo - 1) : 2 * hi]
-        expert_update(self.experts, window, 2 * (lo - 1))
+        per_bin = gains.size // grid.N  # 2 |F| experts per bin
+        expert_update(self.experts, gains[per_bin * (lo - 1) : per_bin * hi], per_bin * (lo - 1))
 
 
 class EfficientForecaster(_ForecasterBase):
@@ -417,10 +417,3 @@ class InefficientForecaster(_ForecasterBase):
             self.fed_gains.append(gains)
         return rec
 
-
-def step_efficient(engine: EfficientForecaster, x: Context, outcome_fn) -> RoundRecord:
-    return engine.step(x, outcome_fn)
-
-
-def step_inefficient(engine: InefficientForecaster, x: Context, outcome_fn) -> RoundRecord:
-    return engine.step(x, outcome_fn)

@@ -17,17 +17,17 @@ in magnitude, so exp(x - x**2) <= 1 + x holds along the whole update.
 
 Each expert's update depends only on its own gain, so a round need only
 touch the experts whose gain is nonzero.  An update therefore takes a
-window: columns [start, start + width) in each of ``rows`` equal blocks
-of the K experts.  A length-K vector is the full window.
+window: the gains of experts [start, start + width), every other expert
+having gained 0.  A length-K vector with no start is the full window.
+The engines number their experts so that a round's support bins are one
+such range.
 
 Weights are stored in log space and left unnormalized between
 re-anchors.  Beside them the state caches the table exp(log_weights) and
 each rate's row mass, the sum of its row.  An update adds
 g * (eta - eta**2 * g) to the window's log weights, re-exponentiates
 those cells only and corrects each row mass by the change in its cells.
-Reads divide by the row mass.  Columns are stored interleaved by block,
-so that a window is one contiguous range of columns; reads return the
-experts in order.
+Reads divide by the row mass.
 
 Every 256 updates the state re-anchors: it renormalizes each row of log
 weights and recomputes the table and the exact row masses.  Log space
@@ -82,9 +82,6 @@ class ExpertState:
         self.round = 0
         self._master = np.exp(self.log_master)
         self._rate_pair = np.column_stack((rates, -(rates**2)))  # (J, 2)
-        # Columns are stored so that the last window's blocks are contiguous:
-        # expert b * K / rows + c sits in column c * rows + b.
-        self._rows = 1
         self._log = lw - lw.max(axis=1, keepdims=True)  # (J, K), unnormalized
         self._table = np.empty_like(lw)                 # exp(self._log)
         self._mass = np.empty(rates.size)               # row sums of the table
@@ -98,29 +95,14 @@ class ExpertState:
         table /= z
         self._mass = table.sum(axis=1)
 
-    def _in_expert_order(self, stored: np.ndarray) -> np.ndarray:
-        """Stored (..., K) columns put back in expert order."""
-        if self._rows == 1:
-            return stored
-        block = self.expert_count // self._rows
-        return stored.reshape(-1, block, self._rows).swapaxes(1, 2).reshape(stored.shape)
-
-    def _store_in_blocks(self, rows: int) -> None:
-        """Re-lay the columns out for windows over ``rows`` blocks."""
-        J, K = self._log.shape
-        for name in ("_log", "_table"):
-            ordered = self._in_expert_order(getattr(self, name)).reshape(J, rows, K // rows)
-            setattr(self, name, np.ascontiguousarray(ordered.swapaxes(1, 2)).reshape(J, K))
-        self._rows = rows
-
     @property
     def log_weights(self) -> np.ndarray:
         """Normalized (J, K) log-distributions, one row per rate (a copy)."""
-        return self._in_expert_order(self._log) - np.log(self._mass)[:, None]
+        return self._log - np.log(self._mass)[:, None]
 
     def weight_table(self) -> np.ndarray:
         """Normalized (J, K) probability table (a copy)."""
-        return self._in_expert_order(self._table) / self._mass[:, None]
+        return self._table / self._mass[:, None]
 
     def master_weights(self) -> np.ndarray:
         """Normalized (J,) master distribution."""
@@ -141,40 +123,32 @@ def expert_init(K: int, T: int) -> ExpertState:
 
 def expert_weights(state: ExpertState) -> np.ndarray:
     """Marginal probability over experts: sum_j master(j) * weights_j."""
-    return state._in_expert_order((state._master / state._mass) @ state._table)
+    return (state._master / state._mass) @ state._table
 
 
-def expert_update(state: ExpertState, gains: np.ndarray, start: int = 0) -> ExpertState:
+def expert_update(state: ExpertState, gains: np.ndarray, start: int | None = None) -> ExpertState:
     """Apply one round of gains, each in [-1, 1]; experts outside the window gain 0.
 
-    ``gains`` is either one entry per expert (shape (K,)) or a window of
-    shape (rows, width): row b holds the gains of experts
-    b * K / rows + [start, start + width).
+    ``gains`` holds one entry per expert when ``start`` is None, else the
+    gains of experts [start, start + len(gains)).
     """
     g = np.asarray(gains, dtype=np.float64)
     K = state.expert_count
-    if g.ndim == 1:
-        if g.shape != (K,) or start != 0:
+    if start is None:
+        if g.shape != (K,):
             raise ValueError(f"expected {K} gains, got shape {g.shape}")
-        g = g[None, :]
-    elif g.ndim != 2 or g.shape[0] < 1 or K % g.shape[0] != 0:
-        raise ValueError(f"gain window of shape {g.shape} does not split {K} experts into equal blocks")
-    rows, width = g.shape
-    block = K // rows
-    if not 0 <= start <= start + width <= block:
-        raise ValueError(f"window [{start}, {start + width}) lies outside the block of {block} experts")
-    if width:
-        if rows != state._rows:
-            state._store_in_blocks(rows)
-        gf = g.T.ravel()  # stored column order
-        if not np.abs(gf).max() <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
+        start = 0
+    elif g.ndim != 1 or not 0 <= start <= start + g.size <= K:
+        raise ValueError(f"gain window of shape {g.shape} at {start} lies outside the {K} experts")
+    if g.size:
+        if not np.abs(g).max() <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
             raise ValueError("gains must be finite and lie in [-1, 1]")
-        cols = slice(start * rows, (start + width) * rows)
+        cols = slice(start, start + g.size)
         lw = state._log[:, cols]
         cells = state._table[:, cols]
         before = cells.sum(axis=1)
-        instance_gain = (cells @ gf) / state._mass  # played (pre-update) expectations
-        lw += state._rate_pair @ np.array((gf, gf * gf))  # eta * g - eta**2 * g**2
+        instance_gain = (cells @ g) / state._mass  # played (pre-update) expectations
+        lw += state._rate_pair @ np.array((g, g * g))  # eta * g - eta**2 * g**2
         np.exp(lw, out=cells)
         state._mass += cells.sum(axis=1) - before
     else:

@@ -429,6 +429,8 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
     seeds = [int(s) for s in seeds]
     if len(set(T_values)) < 3:
         raise ValueError("need at least three distinct horizons")
+    if not seeds:
+        raise ValueError("need at least one seed per horizon")
     rows: list[dict] = []
     out_path = Path(out_dir) if out_dir is not None else None
 
@@ -493,12 +495,17 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     tr_rows = _read_rounds(run_dir / "transcript.csv", config.T)
     ctx_rows = _read_rounds(run_dir / "contexts.csv", config.T)
     features = np.array([[float(v) for v in row[1:]] for row in ctx_rows])
+    y = np.array([float(r_[4]) for r_ in tr_rows])
+    bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))  # NaN fails both comparisons
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(f"transcript.csv: row {t + 1}, column y: label {float(y[t])!r} is not in [0, 1]")
     transcript = Transcript(
         grid=grid,
         p_tilde=np.array([float(r_[1]) for r_ in tr_rows]),
         bins=np.array([int(r_[2]) for r_ in tr_rows], dtype=np.int64),
         p=np.array([float(r_[3]) for r_ in tr_rows]),
-        y=np.array([float(r_[4]) for r_ in tr_rows]),
+        y=y,
         features=features,
         support_lo=np.array([float(r_[5]) for r_ in tr_rows]),
         support_hi=np.array([float(r_[6]) for r_ in tr_rows]),

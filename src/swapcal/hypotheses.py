@@ -122,10 +122,6 @@ class Negation(TestFunction):
         return f"Negation({self.inner!r})"
 
 
-def evaluate(f: TestFunction, x: Context) -> float:
-    return f(x)
-
-
 class SupCorrelation(NamedTuple):
     value: float
     witness: object  # member index (finite) or unit vector (linear)

@@ -84,17 +84,6 @@ class UnitBallLearner:
         self.theta = _ogd_step(self.theta, x.features, kappa, self.rounds)
 
 
-def oal_predict(state, x: Context) -> float:
-    """Current predictor value; pure, repeated calls agree."""
-    return state.predict(x)
-
-
-def oal_observe(state, x: Context, kappa: float):
-    """Feed one settled round; advances the learner's internal count."""
-    state.observe(x, kappa)
-    return state
-
-
 class FiniteLearnerBank:
     """Independent finite-class learners sharing one member set.
 

@@ -15,12 +15,11 @@ from swapcal.engine import (
     phi_from_learners,
     sample_and_round,
     solve_distribution,
-    step_efficient,
-    step_inefficient,
 )
 from swapcal.experts import ExpertState, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
-from swapcal.properties import marginal_identification, mean_property
+from swapcal.properties import eval_identification, marginal_identification, mean_property
+from test_experts import DenseReference
 
 
 class FixedRng:
@@ -193,9 +192,9 @@ def test_gains_sigma_flip_and_disjoint_support():
     dist = TwoPointDistribution((0,), (1.0,), 16)  # all mass in bin 1
     cls = generate_group_indicators(3, 2, seed=0)
     x = Context([0.3, -0.2])
-    g = gains_inefficient(dist, mean_property(), cls, x, 1.0, grid).reshape(3, 4, 2)
-    np.testing.assert_allclose(g[:, :, 1], -g[:, :, 0], atol=0)
-    np.testing.assert_allclose(g[:, 1:, :], 0.0, atol=0)  # bins 2..4 untouched
+    g = gains_inefficient(dist, mean_property(), cls, x, 1.0, grid).reshape(4, 2, 3)  # (bin, sign, member)
+    np.testing.assert_allclose(g[:, 1, :], -g[:, 0, :], atol=0)
+    np.testing.assert_allclose(g[1:, :, :], 0.0, atol=0)  # bins 2..4 untouched
 
 
 def test_gains_efficient_examples():
@@ -238,7 +237,7 @@ def drive(engine, rounds, adv_seed=1):
 
 def test_first_round_with_zero_learners_predicts_one():
     engine, grid, _, _ = make_efficient()
-    rec = step_efficient(engine, Context([0.1, 0.0, 0.0]), lambda: 1.0)
+    rec = engine.step(Context([0.1, 0.0, 0.0]), lambda: 1.0)
     assert rec.distribution.support_idx == (grid.T,)
     assert rec.p == 1.0 and rec.bin == grid.N
     # only the two learners of the last bin observed
@@ -328,7 +327,7 @@ def test_fed_gains_match_independent_recomputation_inefficient():
     for _ in range(90):
         x = adv.next_context(arng)
         law = adv.next_label_law(x)
-        step_inefficient(engine, x, lambda: sample_label(law, arng))
+        engine.step(x, lambda: sample_label(law, arng))
     for rec, fed in zip(engine.records, engine.fed_gains):
         fvals = cls.member_values(rec.x)
         for f_idx in range(cls.size):
@@ -337,9 +336,41 @@ def test_fed_gains_match_independent_recomputation_inefficient():
                 for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
                     if grid.bin_of_index(j) == i:
                         mass += pr * (j / grid.T - rec.y)
-                base = f_idx * 2 * grid.N + 2 * (i - 1)
+                base = 2 * (i - 1) * cls.size + f_idx
                 assert fed[base] == pytest.approx(fvals[f_idx] * mass, abs=1e-12)
-                assert fed[base + 1] == pytest.approx(-fvals[f_idx] * mass, abs=1e-12)
+                assert fed[base + cls.size] == pytest.approx(-fvals[f_idx] * mass, abs=1e-12)
+
+
+def test_enumerating_engine_matches_member_major_reference():
+    # slow reference: experts numbered member-major, (member, bin, sign) with
+    # sign innermost; the dense expert update; phi and gains from their
+    # definitions, fed the engine's laws and labels
+    grid = GridConfig(8, 512)
+    prop = mean_property()
+    cls = generate_group_indicators(4, 3, seed=5)
+    F, N = cls.size, grid.N
+    engine = InefficientForecaster(grid, prop, cls, np.random.default_rng(3))
+    ref = DenseReference(2 * N * F, grid.T)
+    member, bin_, sign = np.meshgrid(np.arange(F), np.arange(N), np.arange(2), indexing="ij")
+    engine_index = ((2 * bin_ + sign) * F + member).ravel()  # of each member-major expert
+    adv = LogisticAdversary(default_logistic_weights(3))
+    arng = np.random.default_rng(4)
+    for _ in range(grid.T):
+        x = adv.next_context(arng)
+        law = adv.next_label_law(x)
+        w = ref.weights().reshape(F, N, 2)
+        np.testing.assert_allclose(expert_weights(engine.experts)[engine_index], w.ravel(), rtol=0, atol=1e-12)
+        fvals = [f(x) for f in cls.members]
+        phi = [sum(fvals[m] * (w[m, i, 0] - w[m, i, 1]) for m in range(F)) for i in range(N)]
+        rec = engine.step(x, lambda: sample_label(law, arng))
+        np.testing.assert_allclose(engine.phi_rows[-1], phi, rtol=0, atol=1e-12)
+        g = np.zeros((F, N, 2))
+        for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
+            mass = pr * eval_identification(prop, j / grid.T, rec.y)
+            for m in range(F):
+                g[m, grid.bin_of_index(j) - 1] += (fvals[m] * mass, -fvals[m] * mass)
+        ref.update(g.ravel())
+    np.testing.assert_allclose(expert_weights(engine.experts)[engine_index], ref.weights(), rtol=0, atol=1e-12)
 
 
 def test_per_round_hedging_bound_mean():

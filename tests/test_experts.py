@@ -108,21 +108,21 @@ def test_gain_domain_errors():
 
 
 def test_window_shape_errors():
-    s = expert_init(12, 64)  # three blocks of 4 when rows = 3
+    s = expert_init(12, 64)
     with pytest.raises(ValueError):
-        expert_update(s, np.zeros((3, 2)), start=3)  # window past the block
+        expert_update(s, np.zeros(2), start=11)  # window past the last expert
     with pytest.raises(ValueError):
-        expert_update(s, np.zeros((3, 2)), start=-1)
+        expert_update(s, np.zeros(2), start=-1)
     with pytest.raises(ValueError):
-        expert_update(s, np.zeros((5, 2)))  # 5 blocks do not split 12 experts
+        expert_update(s, np.array([0.0, float("nan")]), start=1)
     with pytest.raises(ValueError):
-        expert_update(s, np.array([[0.0, float("nan")]] * 3), start=1)
+        expert_update(s, np.array([0.0, 1.5]), start=0)
     with pytest.raises(ValueError):
-        expert_update(s, np.array([[0.0, 1.5]] * 3))
-    with pytest.raises(ValueError):
-        expert_update(s, np.zeros(11))  # a 1-d vector must cover all experts
+        expert_update(s, np.zeros(11))  # with no start the vector must cover all experts
     with pytest.raises(ValueError):
         expert_update(s, np.zeros(12), start=1)
+    with pytest.raises(ValueError):
+        expert_update(s, np.zeros((3, 2)), start=0)  # windows are 1-d
     with pytest.raises(ValueError):
         expert_update(s, np.zeros((1, 1, 12)))
     assert s.round == 0
@@ -179,17 +179,17 @@ def assert_matches_dense(state, ref):
     np.testing.assert_allclose(state.master_weights(), ref.master, rtol=0, atol=1e-12)
 
 
-def windowed_stream(rows, block, T, window_fn, seed=0):
+def windowed_stream(K, T, window_fn, seed=0):
     """Feed the same gains to both updates; window_fn(t, rng) -> (start, window)."""
-    state = expert_init(rows * block, T)
-    ref = DenseReference(rows * block, T)
+    state = expert_init(K, T)
+    ref = DenseReference(K, T)
     rng = np.random.default_rng(seed)
     for t in range(T):
         start, window = window_fn(t, rng)
-        full = np.zeros((rows, block))
-        full[:, start : start + window.shape[1]] = window
+        full = np.zeros(K)
+        full[start : start + window.size] = window
         expert_update(state, window, start)
-        ref.update(full.reshape(-1))
+        ref.update(full)
         assert_matches_dense(state, ref)
     assert state.round == T
     return state
@@ -197,15 +197,15 @@ def windowed_stream(rows, block, T, window_fn, seed=0):
 
 @pytest.mark.parametrize("rows,bins,T", [(1, 41, 8192), (32, 26, 4096)])
 def test_window_update_matches_dense_reference(rows, bins, T):
-    # the engines' pattern: one or two adjacent bins, both signs, in every
-    # member block; T spans 16 or more re-anchors
+    # the engines' pattern: one or two adjacent bins, both signs, each with
+    # ``rows`` experts; T spans 16 or more re-anchors
     def window_fn(t, rng):
         lo = int(rng.integers(0, bins))
-        width = 2 * min(int(rng.integers(1, 3)), bins - lo)
-        window = rng.uniform(-1, 1, (rows, width)) * rng.choice([0.05, 0.5, 1.0])
-        return 2 * lo, window
+        width = min(int(rng.integers(1, 3)), bins - lo)
+        window = rng.uniform(-1, 1, 2 * width * rows) * rng.choice([0.05, 0.5, 1.0])
+        return 2 * lo * rows, window
 
-    windowed_stream(rows, 2 * bins, T, window_fn)
+    windowed_stream(2 * bins * rows, T, window_fn)
 
 
 def test_window_update_matches_dense_under_drift():
@@ -213,28 +213,25 @@ def test_window_update_matches_dense_under_drift():
     # and back, past the mass band that forces an early re-anchor
     def window_fn(t, rng):
         sign = 1.0 if (t // 600) % 2 == 0 else -1.0
-        return 2, np.full((1, 2), sign)
+        return 2, np.full(2, sign)
 
-    windowed_stream(1, 16, 1800, window_fn)
+    windowed_stream(16, 1800, window_fn)
 
 
-def test_windows_over_changing_block_counts_match_dense():
+def test_random_windows_and_full_vectors_match_dense():
     K = 24
     state, ref = expert_init(K, 512), DenseReference(K, 512)
     rng = np.random.default_rng(9)
     for t in range(300):
-        rows = int(rng.choice([1, 2, 3, 4, 6, 24]))
-        block = K // rows
-        width = int(rng.integers(0, block + 1))
-        start = int(rng.integers(0, block - width + 1))
-        window = rng.uniform(-1, 1, (rows, width))
-        full = np.zeros((rows, block))
-        full[:, start : start + width] = window
+        width = int(rng.integers(0, K + 1))
+        start = int(rng.integers(0, K - width + 1))
+        full = np.zeros(K)
+        full[start : start + width] = rng.uniform(-1, 1, width)
         if rng.random() < 0.2:
-            expert_update(state, full.reshape(-1))
+            expert_update(state, full)
         else:
-            expert_update(state, window, start)
-        ref.update(full.reshape(-1))
+            expert_update(state, full[start : start + width], start)
+        ref.update(full)
         assert_matches_dense(state, ref)
     np.testing.assert_allclose(np.exp(state.log_weights), ref.table, rtol=0, atol=1e-12)
 
@@ -243,16 +240,16 @@ def test_zero_and_empty_windows_match_dense():
     state, ref = expert_init(24, 64), DenseReference(24, 64)
     rng = np.random.default_rng(5)
     for t in range(40):
-        window = rng.uniform(-1, 1, (3, 2))
-        full = np.zeros((3, 8))
-        full[:, 4:6] = window
-        expert_update(state, window, 4)
-        ref.update(full.reshape(-1))
+        window = rng.uniform(-1, 1, 6)
+        full = np.zeros(24)
+        full[12:18] = window
+        expert_update(state, window, 12)
+        ref.update(full)
     before = expert_weights(state).copy()
-    expert_update(state, np.zeros((3, 2)), 4)  # all-zero round
+    expert_update(state, np.zeros(6), 12)  # all-zero round
     ref.update(np.zeros(24))
     assert_matches_dense(state, ref)
-    expert_update(state, np.zeros((3, 0)), 8)  # empty window at the block's end
+    expert_update(state, np.zeros(0), 24)  # empty window at the end of the experts
     ref.update(np.zeros(24))
     assert_matches_dense(state, ref)
     np.testing.assert_allclose(expert_weights(state), before, rtol=0, atol=1e-12)

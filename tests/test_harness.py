@@ -355,3 +355,29 @@ def test_run_dir_readers_reject_misnumbered_or_partial_rows(tmp_path):
     _truncate(tmp_path / "contexts.csv", 49)
     with pytest.raises(ValueError, match="contexts.csv"):
         compute_metrics_for_run_dir(tmp_path, [2.0])
+
+
+def test_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed"):
+        sweep(small_config(T=64), [64, 128, 256], [])
+    cfg_path = write_config(tmp_path)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--T", "64,128,256", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "slope=" not in captured.out and "seed" in captured.err
+
+
+@pytest.mark.parametrize("label", ["nan", "5.0"])
+def test_cli_metrics_rejects_a_label_outside_the_unit_interval(tmp_path, capsys, label):
+    cfg_path = write_config(tmp_path, T=300)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    tr_path = out_dir / "transcript.csv"
+    lines = tr_path.read_text().splitlines()
+    row = lines[7].split(",")
+    row[4] = label  # y of round 7
+    lines[7] = ",".join(row)
+    tr_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["metrics", "--run", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "transcript.csv" in err and "row 7" in err and "column y" in err

@@ -8,7 +8,6 @@ from swapcal.hypotheses import (
     HypothesisClass,
     LinearFixed,
     Negation,
-    evaluate,
     generate_group_indicators,
     parse_class,
     sup_correlation,
@@ -38,10 +37,10 @@ def test_context_validation():
 
 def test_evaluate_worked_examples():
     x = Context([-0.3, 0.1])
-    assert evaluate(ConstantOne(), x) == 1.0
-    assert evaluate(GroupIndicator(0, 0.0, 1), x) == 0.0
-    assert evaluate(LinearFixed([1.0, 0.0]), Context([0.6, 0.8])) == pytest.approx(0.6)
-    assert evaluate(Negation(ConstantOne()), x) == -1.0
+    assert ConstantOne()(x) == 1.0
+    assert GroupIndicator(0, 0.0, 1)(x) == 0.0
+    assert LinearFixed([1.0, 0.0])(Context([0.6, 0.8])) == pytest.approx(0.6)
+    assert Negation(ConstantOne())(x) == -1.0
 
 
 def test_group_indicator_bounds_and_errors():

@@ -9,8 +9,6 @@ from swapcal.learners import (
     FiniteLearnerBank,
     LinearLearnerBank,
     UnitBallLearner,
-    oal_observe,
-    oal_predict,
 )
 
 
@@ -21,44 +19,44 @@ def signed_pair():
 
 def test_fresh_predictions():
     x = Context([0.3, -0.2])
-    assert oal_predict(FiniteClassLearner(signed_pair()), x) == 0.0
-    assert oal_predict(UnitBallLearner(2), x) == 0.0
+    assert FiniteClassLearner(signed_pair()).predict(x) == 0.0
+    assert UnitBallLearner(2).predict(x) == 0.0
 
 
 def test_linear_predict_is_inner_product():
     learner = UnitBallLearner(2)
     learner.theta = np.array([1.0, 0.0])
-    assert oal_predict(learner, Context([0.6, 0.8])) == pytest.approx(0.6)
+    assert learner.predict(Context([0.6, 0.8])) == pytest.approx(0.6)
 
 
 def test_predict_idempotent():
     learner = UnitBallLearner(3)
     x = Context([0.1, 0.2, -0.3])
-    oal_observe(learner, x, 0.5)
-    assert oal_predict(learner, x) == oal_predict(learner, x)
+    learner.observe(x, 0.5)
+    assert learner.predict(x) == learner.predict(x)
     finite = FiniteClassLearner(signed_pair())
-    oal_observe(finite, x, -0.25)
-    assert oal_predict(finite, x) == oal_predict(finite, x)
+    finite.observe(x, -0.25)
+    assert finite.predict(x) == finite.predict(x)
 
 
 def test_ogd_first_update_with_projection():
     # theta (1, 0), first observe has step 2: pre-projection (1, 2) -> /sqrt(5)
     learner = UnitBallLearner(2)
     learner.theta = np.array([1.0, 0.0])
-    oal_observe(learner, Context([0.0, 1.0]), 1.0)
+    learner.observe(Context([0.0, 1.0]), 1.0)
     np.testing.assert_allclose(learner.theta, [1 / math.sqrt(5), 2 / math.sqrt(5)], atol=1e-12)
 
 
 def test_ogd_no_projection_inside_ball():
     learner = UnitBallLearner(2)
-    oal_observe(learner, Context([0.2, 0.0]), 0.5)
+    learner.observe(Context([0.2, 0.0]), 0.5)
     np.testing.assert_allclose(learner.theta, [0.2, 0.0], atol=1e-12)
 
 
 def test_finite_first_observation_closed_form():
     # members {+1, -1}, kappa = 1: cumulative (1, -1), eta_1 = sqrt(ln 2)
     learner = FiniteClassLearner(signed_pair())
-    oal_observe(learner, Context([0.0]), 1.0)
+    learner.observe(Context([0.0]), 1.0)
     eta = math.sqrt(math.log(2.0))
     expected = math.exp(eta) / (math.exp(eta) + math.exp(-eta))
     assert learner.weights[0] == pytest.approx(expected, abs=1e-12)
@@ -67,16 +65,16 @@ def test_finite_first_observation_closed_form():
 def test_zero_outcome_leaves_finite_weights():
     learner = FiniteClassLearner(signed_pair())
     before = learner.weights.copy()
-    oal_observe(learner, Context([0.5]), 0.0)
+    learner.observe(Context([0.5]), 0.0)
     np.testing.assert_allclose(learner.weights, before, atol=1e-12)
     assert learner.rounds == 1
 
 
 def test_outcome_domain_error():
     with pytest.raises(ValueError):
-        oal_observe(UnitBallLearner(2), Context([0.1, 0.1]), 1.5)
+        UnitBallLearner(2).observe(Context([0.1, 0.1]), 1.5)
     with pytest.raises(ValueError):
-        oal_observe(FiniteClassLearner(signed_pair()), Context([0.1]), -1.5)
+        FiniteClassLearner(signed_pair()).observe(Context([0.1]), -1.5)
 
 
 def test_outputs_bounded_on_unit_contexts():
