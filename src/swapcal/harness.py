@@ -7,11 +7,19 @@ component never perturbs another's stream.
 
 Output files per run directory:
     config.json     the validated config (echoed back)
-    transcript.csv  t, p_tilde, bin, p, y, support_lo, support_hi, prob_lo
+    transcript.csv  t, p_tilde, bin, p, y, j_lo, j_hi, prob_lo, phi_lo, phi_hi
+                    (support as 1/T-grid indices j_lo <= j_hi, and the
+                    hedging profile at the bin of each support point)
     contexts.csv    t, x0..x{d-1}
     laws.csv        t, kind, p1, p2 (law parameters, p2 blank when unused)
-    phi.csv         t, v1..vN (hedging profile rows; needed by the audit)
+    phi.csv         t, v1..vN (full hedging profile rows; only with
+                    "log_phi": true)
     metrics.csv     config_hash, seed, T, N, r, cal, mcal, smcal, mcal_exact
+
+The audit reads config.json, laws.csv and transcript.csv: a round's
+expected audit needs phi only at its support bins, which transcript.csv
+holds.  When phi.csv exists, the audit also checks it against those
+columns.
 
 Wall-clock timing goes to stdout only, keeping every persisted file
 byte-identical across replays of the same config.
@@ -37,9 +45,11 @@ from .engine import (
 )
 from .hypotheses import parse_class
 from .metrics import Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
-from .properties import LabelLaw, Property, marginal_identification, parse_property
+from .properties import LabelLaw, LawColumns, Property, marginal_identification, parse_property
 
 AUDIT_SLACK = 1e-9
+TRANSCRIPT_HEADER = ["t", "p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi"]
+_INTEGER_COLUMNS = ("t", "bin", "j_lo", "j_hi")
 _CONFIG_KEYS = {
     "engine",
     "property",
@@ -79,7 +89,7 @@ class ExperimentConfig:
     r: float
     seed: int
     N: int | None = None
-    log_phi: bool = True
+    log_phi: bool = False
     out: str | None = None
 
     @property
@@ -144,7 +154,7 @@ class ExperimentConfig:
             r=r,
             seed=seed,
             N=N,
-            log_phi=bool(raw.get("log_phi", True)),
+            log_phi=bool(raw.get("log_phi", False)),
             out=raw.get("out"),
         )
         cfg.build_components()  # fail fast on any bad sub-spec
@@ -239,6 +249,8 @@ def run(config: ExperimentConfig, out_dir=None, log_gains: bool = False):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # the common case first; bool is not a float
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -255,18 +267,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _bins_of(grid: GridConfig, j: np.ndarray) -> np.ndarray:
+    """1-based bins of the grid points j/T, as ``GridConfig.bin_of_index`` for each entry."""
+    return np.where(j >= grid.T, grid.N, j * grid.N // grid.T + 1)
+
+
+def _support_columns(transcript: Transcript, phi_rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-round support indices, lower-point probability and phi at the support bins."""
+    grid = transcript.grid
+    # support points sit exactly on the 1/T grid; recover the integer index
+    j_lo = np.rint(transcript.support_lo * grid.T).astype(np.int64)
+    j_hi = np.rint(transcript.support_hi * grid.T).astype(np.int64)
+    rows = np.arange(len(transcript))
+    return {
+        "j_lo": j_lo,
+        "j_hi": j_hi,
+        "prob_lo": transcript.prob_lo,
+        "phi_lo": phi_rows[rows, _bins_of(grid, j_lo) - 1],
+        "phi_hi": phi_rows[rows, _bins_of(grid, j_hi) - 1],
+    }
+
+
 def persist_run(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     tr = result.transcript
+    columns = {"p_tilde": tr.p_tilde, "bin": tr.bins, "p": tr.p, "y": tr.y, **_support_columns(tr, result.phi_rows)}
     _write_csv(
         out_dir / "transcript.csv",
-        ["t", "p_tilde", "bin", "p", "y", "support_lo", "support_hi", "prob_lo"],
-        (
-            (t + 1, tr.p_tilde[t], tr.bins[t], tr.p[t], tr.y[t], tr.support_lo[t], tr.support_hi[t], tr.prob_lo[t])
-            for t in range(len(tr))
-        ),
+        TRANSCRIPT_HEADER,
+        zip(range(1, len(tr) + 1), *(columns[name].tolist() for name in TRANSCRIPT_HEADER[1:])),
     )
     d = tr.features.shape[1]
     _write_csv(
@@ -300,15 +331,89 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
-def _read_rounds(path: Path, T: int) -> list[list[str]]:
-    """Rows of a per-round log, checked to hold rounds t = 1..T in order, each complete."""
+def _read_rounds(path: Path, T: int) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a per-round log, checked to hold rounds t = 1..T in order, each complete."""
     header, rows = read_csv(path)
     if len(rows) != T:
         raise ValueError(f"{path.name} holds {len(rows)} rounds, the config says T={T}")
     for t, row in enumerate(rows, start=1):
         if len(row) != len(header) or row[0] != str(t):
             raise ValueError(f"{path.name}: row {t} is not a complete record of round {t}")
-    return rows
+    return header, rows
+
+
+def _parse_column(path: Path, name: str, values, dtype) -> np.ndarray:
+    """One column of a log as an array; an entry that is not a number is named by row."""
+    try:
+        return np.array(values, dtype=dtype)
+    except ValueError:
+        cast = int if dtype is np.int64 else float
+        for t, v in enumerate(values, start=1):
+            try:
+                cast(v)
+            except ValueError:
+                raise ValueError(f"{path.name}: row {t}, column {name}: {v!r} is not a number") from None
+        raise
+
+
+def read_transcript(path: Path, grid: GridConfig) -> dict[str, np.ndarray]:
+    """The columns of a persisted transcript.csv, checked to be what an engine writes.
+
+    Besides the round count and numbering of every per-round log, each
+    row must hold an adjacent support on the 1/T grid with a valid
+    lower-point probability, a p_tilde on that support, its bin and bin
+    point, a label in [0, 1], and one phi value per support bin.  The
+    first bad entry raises a ValueError naming the file, row and column.
+    """
+    header, rows = _read_rounds(path, grid.T)
+    if header != TRANSCRIPT_HEADER:
+        raise ValueError(f"{path.name}: header {','.join(header)} is not {','.join(TRANSCRIPT_HEADER)}")
+    c = {
+        name: _parse_column(path, name, values, np.int64 if name in _INTEGER_COLUMNS else np.float64)
+        for name, values in zip(header, zip(*rows))
+    }
+    T, j_lo, j_hi, prob_lo = grid.T, c["j_lo"], c["j_hi"], c["prob_lo"]
+    on_hi = c["p_tilde"] == j_hi / T
+    bin_lo, bin_hi = _bins_of(grid, j_lo), _bins_of(grid, j_hi)
+    # in dependency order: a row reports the first of its columns that fails
+    checks = (
+        ("j_lo", (j_lo < 0) | (j_lo > T), f"outside 0..{T}"),
+        ("j_hi", (j_hi > T) | ((j_hi != j_lo) & (j_hi != j_lo + 1)), f"not j_lo or j_lo + 1 within 0..{T}"),
+        ("prob_lo", ~((prob_lo > 0.0) & (prob_lo <= 1.0)) | ((j_lo == j_hi) & (prob_lo != 1.0)), "not in (0, 1], or not 1 on a one-point support"),
+        ("p_tilde", ~on_hi & (c["p_tilde"] != j_lo / T), "not a support point j_lo/T or j_hi/T"),
+        ("bin", c["bin"] != np.where(on_hi, bin_hi, bin_lo), "not the bin of p_tilde"),
+        ("p", c["p"] != c["bin"] / grid.N, f"not bin/N with N={grid.N}"),
+        ("y", ~((c["y"] >= 0.0) & (c["y"] <= 1.0)), "not a label in [0, 1]"),  # NaN fails both comparisons
+        ("phi_hi", (bin_lo == bin_hi) & (c["phi_hi"] != c["phi_lo"]), "not phi_lo, though both points share a bin"),
+    )
+    bad = np.stack([mask for _, mask, _ in checks])
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=0)))
+        name, _, what = checks[int(np.argmax(bad[:, t]))]
+        raise ValueError(f"{path.name}: row {t + 1}, column {name}: {c[name][t].item()!r} is {what}")
+    return c
+
+
+def _law_groups(kinds: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> list[tuple[np.ndarray, LawColumns]]:
+    """Per-round laws as (rounds, laws) groups, one per law kind; p2 is read for beta laws only."""
+    groups = []
+    for kind in np.unique(kinds).tolist():
+        rows = np.flatnonzero(kinds == kind)
+        groups.append((rows, LawColumns(kind, (p1[rows], p2[rows]) if kind == "beta" else (p1[rows],))))
+    return groups
+
+
+def _read_laws(path: Path, T: int) -> list[tuple[np.ndarray, LawColumns]]:
+    _, rows = _read_rounds(path, T)
+    kinds = np.array([row[1] for row in rows])
+    p2 = np.array([row[3] for row in rows])
+    bad = (p2 == "") == (kinds == "beta")
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"{path.name}: row {t + 1}, column p2: {p2[t]!r} does not fit a {kinds[t]} law")
+    p1 = _parse_column(path, "p1", [row[2] for row in rows], np.float64)
+    p2 = _parse_column(path, "p2", np.where(p2 == "", "nan", p2).tolist(), np.float64)
+    return _law_groups(kinds, p1, p2)
 
 
 @dataclass
@@ -317,6 +422,11 @@ class AuditReport:
     bound: float
     max_value: float
     passed: bool
+
+    @classmethod
+    def of(cls, values: np.ndarray, bound: float) -> "AuditReport":
+        max_value = float(values.max())
+        return cls(values, bound, max_value, max_value <= bound)
 
 
 def audit_round(
@@ -328,7 +438,10 @@ def audit_round(
     prob_lo: float,
     phi_row: np.ndarray,
 ) -> float:
-    """Recompute E_{p ~ P_t}[phi_t(p) * marginal residual(p, law)] for one round."""
+    """Recompute E_{p ~ P_t}[phi_t(p) * marginal residual(p, law)] for one round.
+
+    The scalar form of ``audit_values``, kept as its reference.
+    """
     # support points sit exactly on the 1/T grid; recover the integer index
     # so bin membership matches the engine's exact arithmetic
     j_lo = round(support_lo * grid.T)
@@ -341,49 +454,76 @@ def audit_round(
     return float(value)
 
 
+def audit_values(
+    prop: Property, grid: GridConfig, laws: list[tuple[np.ndarray, LawColumns]], rounds: dict[str, np.ndarray]
+) -> np.ndarray:
+    """``audit_round`` for every round at once.
+
+    ``laws`` holds (rounds, laws) groups of one law kind each, and
+    ``rounds`` the columns j_lo, j_hi, prob_lo, phi_lo and phi_hi.  The
+    marginal residuals are computed per law kind over all of its rounds,
+    and every value comes out of the same float operations as the scalar
+    form, so the two agree bit for bit.
+    """
+    j_lo, j_hi, prob_lo = rounds["j_lo"], rounds["j_hi"], rounds["prob_lo"]
+    marginal_lo = np.empty(prob_lo.size)
+    marginal_hi = np.empty(prob_lo.size)
+    for rows, law in laws:
+        marginal_lo[rows] = marginal_identification(prop, j_lo[rows] / grid.T, law)
+        marginal_hi[rows] = marginal_identification(prop, j_hi[rows] / grid.T, law)
+    value = prob_lo * rounds["phi_lo"] * marginal_lo
+    # a one-point round has no upper term; adding a zero would turn -0.0 into +0.0
+    return np.where(j_hi != j_lo, value + (1.0 - prob_lo) * rounds["phi_hi"] * marginal_hi, value)
+
+
 def audit_result(result: RunResult) -> AuditReport:
     """Audit a freshly executed run (no file round trip)."""
     prop, _, _ = result.config.build_components()
     tr = result.transcript
-    values = np.array(
-        [
-            audit_round(prop, tr.grid, result.laws[t], tr.support_lo[t], tr.support_hi[t], tr.prob_lo[t], result.phi_rows[t])
-            for t in range(len(tr))
-        ]
+    laws = _law_groups(
+        np.array([law.kind for law in result.laws]),
+        np.array([law.params[0] for law in result.laws]),
+        np.array([law.params[-1] for law in result.laws]),
     )
-    bound = result.rho / tr.grid.T + AUDIT_SLACK
-    max_value = float(values.max())
-    return AuditReport(values, bound, max_value, max_value <= bound)
+    values = audit_values(prop, tr.grid, laws, _support_columns(tr, result.phi_rows))
+    return AuditReport.of(values, result.rho / tr.grid.T + AUDIT_SLACK)
+
+
+def _check_phi_log(path: Path, grid: GridConfig, rounds: dict[str, np.ndarray]) -> None:
+    """An opted-in phi.csv must hold T rows whose support-bin entries equal phi_lo/phi_hi bit for bit."""
+    header, rows = _read_rounds(path, grid.T)
+    if len(header) != grid.N + 1:
+        raise ValueError(f"{path.name} holds {len(header) - 1} bins, the config says N={grid.N}")
+    logged = {
+        name: _parse_column(path, name, [row[b] for row, b in zip(rows, _bins_of(grid, rounds[j]).tolist())], np.float64)
+        for name, j in (("phi_lo", "j_lo"), ("phi_hi", "j_hi"))
+    }
+    bad = {name: logged[name].view(np.int64) != rounds[name].view(np.int64) for name in logged}
+    if (bad["phi_lo"] | bad["phi_hi"]).any():
+        t = int(np.argmax(bad["phi_lo"] | bad["phi_hi"]))
+        name = "phi_lo" if bad["phi_lo"][t] else "phi_hi"
+        raise ValueError(
+            f"{path.name}: row {t + 1}: phi at the support bin is {logged[name][t].item()!r}, "
+            f"transcript.csv has {name} {rounds[name][t].item()!r}"
+        )
 
 
 def audit_run_dir(run_dir) -> AuditReport:
-    """Audit a persisted run from its CSV logs; writes audit.csv beside them."""
+    """Audit a persisted run from config.json, laws.csv and transcript.csv; writes audit.csv beside them."""
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_json(run_dir / "config.json")
-    phi_path = run_dir / "phi.csv"
-    laws_path = run_dir / "laws.csv"
-    if not phi_path.exists() or not laws_path.exists():
-        raise FileNotFoundError("audit needs phi.csv and laws.csv; rerun with log_phi enabled")
     prop, _, adversary = config.build_components()
     grid = GridConfig(config.bin_count, config.T)
-    law_rows = _read_rounds(laws_path, config.T)
-    laws = []
-    for row in law_rows:
-        params = (float(row[2]),) if row[3] == "" else (float(row[2]), float(row[3]))
-        laws.append(LabelLaw(row[1], params))
-    phi_rows = np.array([[float(v) for v in row[1:]] for row in _read_rounds(phi_path, config.T)])
-    tr_rows = _read_rounds(run_dir / "transcript.csv", config.T)
-    values = np.empty(len(tr_rows))
-    for t, row in enumerate(tr_rows):
-        support_lo, support_hi, prob_lo = float(row[5]), float(row[6]), float(row[7])
-        values[t] = audit_round(prop, grid, laws[t], support_lo, support_hi, prob_lo, phi_rows[t])
-    bound = adversary.rho(prop) / grid.T + AUDIT_SLACK
-    max_value = float(values.max())
-    report = AuditReport(values, bound, max_value, max_value <= bound)
+    laws = _read_laws(run_dir / "laws.csv", config.T)
+    rounds = read_transcript(run_dir / "transcript.csv", grid)
+    if (run_dir / "phi.csv").exists():
+        _check_phi_log(run_dir / "phi.csv", grid, rounds)
+    report = AuditReport.of(audit_values(prop, grid, laws, rounds), adversary.rho(prop) / grid.T + AUDIT_SLACK)
+    bound = report.bound
     _write_csv(
         run_dir / "audit.csv",
         ["t", "value", "bound", "ok"],
-        ((t + 1, values[t], bound, values[t] <= bound) for t in range(len(values))),
+        ((t, v, bound, v <= bound) for t, v in enumerate(report.values.tolist(), start=1)),
     )
     return report
 
@@ -452,7 +592,6 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
                 r=base.r,
                 seed=seed,
                 N=base.N,
-                log_phi=False,
             )
             try:
                 res = run(cfg)
@@ -488,28 +627,25 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     With ``per_bin`` set, also writes metrics_bins.csv holding one row per
     bin: the round count and the bin's supremum correlation.
     """
+    r_values = [float(r) for r in r_values]
+    if not r_values:
+        raise ValueError("need at least one error order r")
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_json(run_dir / "config.json")
     prop, cls_obj, _ = config.build_components()
     grid = GridConfig(config.bin_count, config.T)
-    tr_rows = _read_rounds(run_dir / "transcript.csv", config.T)
-    ctx_rows = _read_rounds(run_dir / "contexts.csv", config.T)
-    features = np.array([[float(v) for v in row[1:]] for row in ctx_rows])
-    y = np.array([float(r_[4]) for r_ in tr_rows])
-    bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))  # NaN fails both comparisons
-    if bad.size:
-        t = int(bad[0])
-        raise ValueError(f"transcript.csv: row {t + 1}, column y: label {float(y[t])!r} is not in [0, 1]")
+    rounds = read_transcript(run_dir / "transcript.csv", grid)
+    _, ctx_rows = _read_rounds(run_dir / "contexts.csv", config.T)
     transcript = Transcript(
         grid=grid,
-        p_tilde=np.array([float(r_[1]) for r_ in tr_rows]),
-        bins=np.array([int(r_[2]) for r_ in tr_rows], dtype=np.int64),
-        p=np.array([float(r_[3]) for r_ in tr_rows]),
-        y=y,
-        features=features,
-        support_lo=np.array([float(r_[5]) for r_ in tr_rows]),
-        support_hi=np.array([float(r_[6]) for r_ in tr_rows]),
-        prob_lo=np.array([float(r_[7]) for r_ in tr_rows]),
+        p_tilde=rounds["p_tilde"],
+        bins=rounds["bin"],
+        p=rounds["p"],
+        y=rounds["y"],
+        features=np.array([[float(v) for v in row[1:]] for row in ctx_rows]),
+        support_lo=rounds["j_lo"] / grid.T,
+        support_hi=rounds["j_hi"] / grid.T,
+        prob_lo=rounds["prob_lo"],
     )
     agg = aggregate(transcript, prop, cls_obj)
     out = []
@@ -520,7 +656,7 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
                 "seed": config.seed,
                 "T": config.T,
                 "N": grid.N,
-                "r": float(r),
+                "r": r,
                 "cal": cal(transcript, prop, r),
                 "mcal": mcal(agg, r),
                 "smcal": smcal(agg, r),

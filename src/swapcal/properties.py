@@ -143,45 +143,19 @@ class LabelLaw:
             raise ValueError(f"unknown label-law kind: {self.kind!r}")
 
     def mean(self) -> float:
-        if self.kind == "bernoulli":
-            return self.params[0]
-        if self.kind == "beta":
-            a, b = self.params
-            return a / (a + b)
-        return self.params[0]
+        return float(_law_mean(self.kind, self.params))
 
     def cdf(self, p: float) -> float:
         """P(y <= p) for p in [0, 1]."""
-        if self.kind == "bernoulli":
-            mu = self.params[0]
-            return 1.0 if p >= 1.0 else 1.0 - mu
-        if self.kind == "beta":
-            a, b = self.params
-            return float(special.betainc(a, b, p))
-        return 1.0 if self.params[0] <= p else 0.0
+        return float(_law_cdf(self.kind, self.params, p))
 
     def moment(self, k: int) -> float:
         """E[y**k] for integer k >= 1."""
-        if self.kind == "bernoulli":
-            return self.params[0]
-        if self.kind == "beta":
-            a, b = self.params
-            out = 1.0
-            for j in range(k):
-                out *= (a + j) / (a + b + j)
-            return out
-        return self.params[0] ** k
+        return float(_law_moment(self.kind, self.params, k))
 
     def partial_mean(self, p: float) -> float:
         """E[y * 1[y <= p]] for p in [0, 1]."""
-        if self.kind == "bernoulli":
-            mu = self.params[0]
-            return mu if p >= 1.0 else 0.0
-        if self.kind == "beta":
-            a, b = self.params
-            return self.mean() * float(special.betainc(a + 1.0, b, p))
-        y = self.params[0]
-        return y if y <= p else 0.0
+        return float(_law_partial_mean(self.kind, self.params, p))
 
     def sample(self, u: float) -> float:
         """Inverse-CDF draw from one uniform variate in [0, 1)."""
@@ -191,6 +165,91 @@ class LabelLaw:
             a, b = self.params
             return float(special.betaincinv(a, b, u))
         return self.params[0]
+
+
+@dataclass(frozen=True)
+class LawColumns:
+    """Label laws of one kind, one per round, as parameter columns.
+
+    The batched twin of LabelLaw: the same closed forms, applied
+    elementwise, so entry t of a result equals the LabelLaw method on
+    law t bit for bit.  Parameters are checked as LabelLaw checks them.
+    """
+
+    kind: str
+    params: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in LAW_KINDS:
+            raise ValueError(f"unknown label-law kind: {self.kind!r}")
+        count = 2 if self.kind == "beta" else 1
+        params = tuple(np.asarray(c, dtype=np.float64) for c in self.params)
+        if len(params) != count or params[-1].shape != params[0].shape:
+            raise ValueError(f"{self.kind} laws need {count} parameter columns of one length")
+        if self.kind == "beta":
+            bad = (params[0] <= 0) | (params[1] <= 0)
+        else:
+            bad = ~((params[0] >= 0.0) & (params[0] <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"{self.kind} law {k}: parameters {tuple(float(c[k]) for c in params)} out of range")
+        object.__setattr__(self, "params", params)
+
+    def mean(self) -> np.ndarray:
+        return _law_mean(self.kind, self.params)
+
+    def cdf(self, p: np.ndarray) -> np.ndarray:
+        return _law_cdf(self.kind, self.params, p)
+
+    def moment(self, k: int) -> np.ndarray:
+        return _law_moment(self.kind, self.params, k)
+
+    def partial_mean(self, p: np.ndarray) -> np.ndarray:
+        return _law_partial_mean(self.kind, self.params, p)
+
+
+# The closed forms of both law types.  Each takes scalar or array
+# parameters and points and uses only elementwise operations, so a batch
+# reproduces the scalar values bit for bit.
+
+
+def _law_mean(kind: str, params):
+    if kind == "beta":
+        a, b = params
+        return a / (a + b)
+    return params[0]  # bernoulli mu; point mass y
+
+
+def _law_cdf(kind: str, params, p):
+    if kind == "bernoulli":
+        return np.where(p >= 1.0, 1.0, 1.0 - params[0])
+    if kind == "beta":
+        a, b = params
+        return special.betainc(a, b, p)
+    return np.where(params[0] <= p, 1.0, 0.0)
+
+
+def _law_moment(kind: str, params, k: int):
+    if kind == "bernoulli":
+        return params[0]
+    if kind == "beta":
+        a, b = params
+        out = 1.0
+        for j in range(k):
+            out = out * ((a + j) / (a + b + j))
+        return out
+    y = params[0]
+    # Python's pow on each entry: numpy's vectorized power rounds differently
+    return y**k if np.ndim(y) == 0 else np.array([v**k for v in y.tolist()])
+
+
+def _law_partial_mean(kind: str, params, p):
+    if kind == "bernoulli":
+        return np.where(p >= 1.0, params[0], 0.0)
+    if kind == "beta":
+        a, b = params
+        return _law_mean(kind, params) * special.betainc(a + 1.0, b, p)
+    return np.where(params[0] <= p, params[0], 0.0)
 
 
 def bernoulli_law(mu: float) -> LabelLaw:
@@ -240,9 +299,17 @@ def identification_values(prop: Property, p: np.ndarray, y: np.ndarray) -> np.nd
     return p - y ** prop.param
 
 
-def marginal_identification(prop: Property, p: float, law: LabelLaw) -> float:
-    """Closed-form E_{y ~ law}[ident(p, y)]."""
-    p = _check_unit(p, "prediction")
+def marginal_identification(prop: Property, p, law):
+    """Closed-form E_{y ~ law}[ident(p, y)].
+
+    With ``law`` a LawColumns, ``p`` is an array holding one point per
+    law and the result is the array of residuals, each equal to the
+    scalar call on its law bit for bit.
+    """
+    if isinstance(law, LabelLaw):
+        p = _check_unit(p, "prediction")
+    elif not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("predictions must lie in [0, 1]")
     if prop.kind == "mean":
         return p - law.mean()
     if prop.kind == "quantile":

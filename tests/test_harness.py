@@ -7,11 +7,13 @@ import pytest
 from swapcal.cli import main as cli_main
 from swapcal.engine import GridConfig
 from swapcal.harness import (
+    TRANSCRIPT_HEADER,
     ConfigError,
     ExperimentConfig,
     audit_result,
     audit_round,
     audit_run_dir,
+    audit_values,
     component_streams,
     compute_metrics_for_run_dir,
     fit_power_law,
@@ -19,7 +21,7 @@ from swapcal.harness import (
     run,
     sweep,
 )
-from swapcal.properties import bernoulli_law, mean_property
+from swapcal.properties import LawColumns, bernoulli_law, beta_law, mean_property, parse_property, point_mass_law
 
 
 def small_config(**overrides):
@@ -92,7 +94,7 @@ def test_run_is_deterministic_in_memory():
 
 
 def test_persisted_files_are_byte_identical(tmp_path):
-    cfg = small_config()
+    cfg = small_config(log_phi=True)
     run(cfg, out_dir=tmp_path / "a")
     run(cfg, out_dir=tmp_path / "b")
     for name in ("transcript.csv", "contexts.csv", "laws.csv", "phi.csv", "metrics.csv", "config.json"):
@@ -103,17 +105,21 @@ def test_transcript_round_trip(tmp_path):
     cfg = small_config()
     res = run(cfg, out_dir=tmp_path)
     header, rows = read_csv(tmp_path / "transcript.csv")
-    assert header == ["t", "p_tilde", "bin", "p", "y", "support_lo", "support_hi", "prob_lo"]
+    assert header == ["t", "p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi"]
+    assert not (tmp_path / "phi.csv").exists()
     tr = res.transcript
+    grid = tr.grid
     for t, row in enumerate(rows):
         assert int(row[0]) == t + 1
         assert float(row[1]) == tr.p_tilde[t]
         assert int(row[2]) == tr.bins[t]
         assert float(row[3]) == tr.p[t]
         assert float(row[4]) == tr.y[t]
-        assert float(row[5]) == tr.support_lo[t]
-        assert float(row[6]) == tr.support_hi[t]
+        assert int(row[5]) / grid.T == tr.support_lo[t]
+        assert int(row[6]) / grid.T == tr.support_hi[t]
         assert float(row[7]) == tr.prob_lo[t]
+        assert float(row[8]) == res.phi_rows[t][grid.bin_of_index(int(row[5])) - 1]
+        assert float(row[9]) == res.phi_rows[t][grid.bin_of_index(int(row[6])) - 1]
 
 
 def test_metrics_recomputation_round_trip(tmp_path):
@@ -165,11 +171,71 @@ def test_audit_run_dir_and_csv(tmp_path):
     assert len(rows) == 300
 
 
-def test_audit_requires_phi_log(tmp_path):
-    cfg = small_config(T=50, log_phi=False)
+def test_audit_passes_without_phi_log(tmp_path):
+    cfg = small_config(T=50)
     run(cfg, out_dir=tmp_path)
-    with pytest.raises(FileNotFoundError):
-        audit_run_dir(tmp_path)
+    assert not (tmp_path / "phi.csv").exists()
+    assert audit_run_dir(tmp_path).passed
+
+
+@pytest.mark.parametrize("log_phi", [False, True])
+def test_audit_of_run_dir_equals_in_memory_audit(tmp_path, log_phi):
+    cfg = small_config(T=400, property="quantile:q=0.3", adversary={"kind": "beta", "dim": 3, "a": 2.0, "b": 3.0}, log_phi=log_phi)
+    res = run(cfg, out_dir=tmp_path)
+    in_memory, on_disk = audit_result(res), audit_run_dir(tmp_path)
+    assert on_disk.values.view(np.int64).tolist() == in_memory.values.view(np.int64).tolist()
+    assert (on_disk.bound, on_disk.max_value, on_disk.passed) == (in_memory.bound, in_memory.max_value, True)
+
+
+def _random_audit_rounds(rng, grid, n):
+    """Rounds with one- and two-point supports, j = 0 and j = T included, and signed zeros in phi."""
+    T = grid.T
+    j_lo = rng.integers(0, T + 1, n)
+    j_lo[:4] = (0, 0, T, T - 1)
+    two = rng.random(n) < 0.6
+    two[:4] = (False, True, False, True)
+    j_hi = np.where(two & (j_lo < T), j_lo + 1, j_lo)
+    prob_lo = np.where(j_hi > j_lo, rng.uniform(0.01, 1.0, n), 1.0)
+    phi = rng.uniform(-1.0, 1.0, (n, grid.N))
+    phi[rng.random((n, grid.N)) < 0.15] = 0.0
+    phi[rng.random((n, grid.N)) < 0.15] = -0.0
+    return j_lo, j_hi, prob_lo, phi
+
+
+@pytest.mark.parametrize("property_spec", ["mean", "quantile:q=0.3", "expectile:tau=0.3", "moment:k=3"])
+def test_batched_audit_equals_scalar_reference_bit_for_bit(property_spec):
+    prop = parse_property(property_spec)
+    grid = GridConfig(7, 40)
+    rng = np.random.default_rng(17)
+    n = 600
+    j_lo, j_hi, prob_lo, phi = _random_audit_rounds(rng, grid, n)
+    laws = []
+    for t in range(n):
+        kind = t % 3
+        if kind == 0:
+            laws.append(bernoulli_law(float(rng.choice([0.0, 1.0, rng.random()]))))
+        elif kind == 1:
+            laws.append(beta_law(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)))
+        else:  # point masses on and off the grid
+            laws.append(point_mass_law(float(rng.choice([j_lo[t] / grid.T, rng.random()]))))
+    groups = []
+    for kind in ("bernoulli", "beta", "point_mass"):
+        rows = np.flatnonzero([law.kind == kind for law in laws])
+        params = tuple(np.array([laws[t].params[k] for t in rows]) for k in range(len(laws[rows[0]].params)))
+        groups.append((rows, LawColumns(kind, params)))
+    rounds = {
+        "j_lo": j_lo,
+        "j_hi": j_hi,
+        "prob_lo": prob_lo,
+        "phi_lo": np.array([phi[t, grid.bin_of_index(int(j_lo[t])) - 1] for t in range(n)]),
+        "phi_hi": np.array([phi[t, grid.bin_of_index(int(j_hi[t])) - 1] for t in range(n)]),
+    }
+    batched = audit_values(prop, grid, groups, rounds)
+    reference = np.array(
+        [audit_round(prop, grid, laws[t], j_lo[t] / grid.T, j_hi[t] / grid.T, prob_lo[t], phi[t]) for t in range(n)]
+    )
+    assert batched.view(np.int64).tolist() == reference.view(np.int64).tolist()
+    assert np.signbit(reference[reference == 0.0]).any()  # the signed-zero case was exercised
 
 
 def test_fed_gain_replay_matches_engine_log():
@@ -289,26 +355,28 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _edit_transcript(path, t, **values):
+    """Overwrite named columns of round t in a transcript.csv."""
+    lines = path.read_text().splitlines()
+    row = lines[t].split(",")
+    for name, value in values.items():
+        row[TRANSCRIPT_HEADER.index(name)] = str(value)
+    lines[t] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_cli_audit_failure_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    # corrupt one phi row so the audited value breaches the bound
-    phi_path = out_dir / "phi.csv"
-    lines = phi_path.read_text().splitlines()
-    parts = lines[1].split(",")
-    lines[1] = ",".join([parts[0]] + ["1.0"] * (len(parts) - 1))
-    tr_path = out_dir / "transcript.csv"
-    tr_lines = tr_path.read_text().splitlines()
-    row = tr_lines[1].split(",")
-    row[4] = "0.0"  # label 0 makes the mean residual at p=1 equal +1
-    row[5] = row[6] = "1.0"
-    row[7] = "1.0"
-    tr_lines[1] = ",".join(row)
-    tr_path.write_text("\n".join(tr_lines) + "\n")
-    phi_path.write_text("\n".join(lines) + "\n")
-    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    # move round 1 to the point mass at p = 1 with phi = 1 there: the mean
+    # residual 1 - mu of its logistic law is far above rho/T
+    cfg = ExperimentConfig.from_json(cfg_path)
+    T, N = cfg.T, cfg.bin_count
+    _edit_transcript(out_dir / "transcript.csv", 1, p_tilde=1.0, bin=N, p=1.0, j_lo=T, j_hi=T, prob_lo=1.0, phi_lo=1.0, phi_hi=1.0)
     capsys.readouterr()
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def _truncate(path, keep_rows):
@@ -318,7 +386,7 @@ def _truncate(path, keep_rows):
 
 @pytest.mark.parametrize("log_name", ["transcript.csv", "phi.csv", "laws.csv"])
 def test_cli_audit_rejects_truncated_logs(tmp_path, capsys, log_name):
-    cfg_path = write_config(tmp_path, T=300)
+    cfg_path = write_config(tmp_path, T=300, log_phi=True)
     out_dir = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     _truncate(out_dir / log_name, 100)
@@ -381,3 +449,84 @@ def test_cli_metrics_rejects_a_label_outside_the_unit_interval(tmp_path, capsys,
     assert cli_main(["metrics", "--run", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert "transcript.csv" in err and "row 7" in err and "column y" in err
+
+
+def _persisted_run(tmp_path, **overrides):
+    cfg_path = write_config(tmp_path, T=300, **overrides)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    header, rows = read_csv(out_dir / "transcript.csv")
+    return out_dir, [dict(zip(header, row)) for row in rows]
+
+
+def _first_round(rows, two_point):
+    return next(t for t, row in enumerate(rows, start=1) if (row["j_lo"] != row["j_hi"]) == two_point)
+
+
+def _round_edits(rows, column):
+    """(round, edits) that make one transcript column inconsistent with the rest of its row."""
+    T, N = 300, 7
+    one, two = _first_round(rows, False), _first_round(rows, True)
+    row = rows[two - 1]
+    j_lo = int(row["j_lo"])
+    return {
+        "prob_lo": [(two, {"prob_lo": 7.0}), (two, {"prob_lo": 0.0}), (one, {"prob_lo": 0.5})],
+        "j_lo": [(two, {"j_lo": -1}), (two, {"j_lo": 2.5})],
+        "j_hi": [(two, {"j_hi": j_lo + 2}), (one, {"j_hi": T + 1})],
+        "p_tilde": [(two, {"p_tilde": (j_lo + 0.5) / T}), (two, {"p_tilde": (j_lo + 3) / T})],
+        "bin": [(two, {"bin": int(row["bin"]) % N + 1})],
+        "p": [(two, {"p": float(row["p"]) + 1e-9})],
+        "phi_hi": [(one, {"phi_hi": 0.25})],
+    }[column]
+
+
+@pytest.mark.parametrize("column", ["prob_lo", "j_lo", "j_hi", "p_tilde", "bin", "p", "phi_hi"])
+def test_audit_and_metrics_reject_an_inconsistent_transcript_column(tmp_path, capsys, column):
+    out_dir, rows = _persisted_run(tmp_path, N=7)
+    tr_path = out_dir / "transcript.csv"
+    original = tr_path.read_text()
+    for t, edits in _round_edits(rows, column):
+        tr_path.write_text(original)
+        _edit_transcript(tr_path, t, **edits)
+        capsys.readouterr()
+        assert cli_main(["audit", "--run", str(out_dir)]) == 2, edits
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"transcript.csv: row {t}, column {column}:" in captured.err, (edits, captured.err)
+        assert cli_main(["metrics", "--run", str(out_dir)]) == 2
+        assert f"row {t}, column {column}:" in capsys.readouterr().err
+
+
+def test_audit_checks_an_opted_in_phi_log(tmp_path, capsys):
+    out_dir, rows = _persisted_run(tmp_path, N=7, log_phi=True)
+    phi_path = out_dir / "phi.csv"
+    original = phi_path.read_text()
+    assert cli_main(["audit", "--run", str(out_dir)]) == 0
+    # one entry at a support bin changed
+    t = _first_round(rows, True)
+    lines = original.splitlines()
+    cells = lines[t].split(",")
+    b = GridConfig(7, 300).bin_of_index(int(rows[t - 1]["j_hi"]))
+    cells[b] = repr(float(cells[b]) + 1e-12)
+    lines[t] = ",".join(cells)
+    phi_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    assert f"phi.csv: row {t}:" in capsys.readouterr().err
+    # an all-zero profile log
+    lines = original.splitlines()
+    lines[1:] = [",".join([str(t)] + ["0.0"] * 7) for t in range(1, 301)]
+    phi_path.write_text("\n".join(lines) + "\n")
+    first = next(t for t, row in enumerate(rows, start=1) if row["phi_lo"] != "0.0" or row["phi_hi"] != "0.0")  # -0.0 differs too
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and f"phi.csv: row {first}:" in captured.err
+
+
+def test_cli_metrics_rejects_an_empty_order_list(tmp_path, capsys):
+    out_dir, _ = _persisted_run(tmp_path)
+    with pytest.raises(ValueError, match="order"):
+        compute_metrics_for_run_dir(out_dir, [])
+    capsys.readouterr()
+    assert cli_main(["metrics", "--run", str(out_dir), "--r", ","]) == 2
+    assert "order" in capsys.readouterr().err
