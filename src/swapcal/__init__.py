@@ -44,8 +44,6 @@ from .hypotheses import (
     Context,
     GroupIndicator,
     HypothesisClass,
-    LinearFixed,
-    Negation,
     TestFunction,
     generate_group_indicators,
     parse_class,

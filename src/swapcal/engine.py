@@ -9,6 +9,11 @@ observe the label, then feed expected gains back to the expert subroutine
 (and, in the oracle-efficient engine, outcomes to the two learners of the
 hit bin).
 
+Each round appends a ``RoundRecord`` holding, besides the prediction and
+label, the randomization law and phi at the bins of its support points:
+all of phi that the round's audit reads.  The engine keeps only the latest
+full profile (``phi``), no history.
+
 Bins are I_i = [(i-1)/N, i/N) for i < N and I_N = [(N-1)/N, 1]; the
 prediction point of bin i is z_i = i/N.  Raw predictions live on the grid
 {0, 1/T, ..., 1} and are tracked as integer indices so bin membership is
@@ -63,27 +68,6 @@ class GridConfig:
             return self.N
         return (j * self.N) // self.T + 1
 
-    def bin_of(self, p: float) -> int:
-        """1-based bin containing an arbitrary point of [0, 1].
-
-        Exact for the float value of p: the floor of p * N is corrected
-        against the correctly rounded boundaries i / N, so a point that is
-        mathematically on a bin edge resolves by its float value.  Points
-        known by their 1/T-grid index should go through ``bin_of_index``.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"point {p} outside [0, 1]")
-        i = min(int(p * self.N), self.N - 1)
-        while i + 1 <= self.N - 1 and (i + 1) / self.N <= p:
-            i += 1
-        while i > 0 and i / self.N > p:
-            i -= 1
-        return i + 1
-
-    def z(self, i: int) -> float:
-        """Prediction point of bin i."""
-        return i / self.N
-
 
 def default_bin_count(T: int, r: float) -> int:
     """Default N = ceil(T ** (1 / (r + 1))), the rate-optimal tuning."""
@@ -109,9 +93,6 @@ class PhiProfile:
 
     def at_index(self, j: int, grid: GridConfig) -> float:
         return float(self.values[grid.bin_of_index(j) - 1])
-
-    def at(self, p: float, grid: GridConfig) -> float:
-        return float(self.values[grid.bin_of(p) - 1])
 
 
 @dataclass(frozen=True)
@@ -286,7 +267,11 @@ def gains_efficient(
 
 @dataclass
 class RoundRecord:
-    """Full record of one executed round."""
+    """Full record of one executed round.
+
+    ``phi_lo`` and ``phi_hi`` are the profile at the bins of the lowest
+    and highest support points: all of phi that the round's audit reads.
+    """
 
     t: int
     x: Context
@@ -295,19 +280,22 @@ class RoundRecord:
     p: float
     y: float
     distribution: TwoPointDistribution
+    phi_lo: float
+    phi_hi: float
 
 
 class _ForecasterBase:
-    """Shared round bookkeeping; concrete engines fill in the expert layout."""
+    """Shared round bookkeeping; concrete engines fill in the expert layout.
 
-    def __init__(self, grid: GridConfig, prop: Property, rng, log_gains: bool) -> None:
+    ``phi`` holds the latest round's profile values; no history is kept.
+    """
+
+    def __init__(self, grid: GridConfig, prop: Property, rng) -> None:
         self.grid = grid
         self.prop = prop
         self.rng = rng
-        self.log_gains = log_gains
         self.records: list[RoundRecord] = []
-        self.phi_rows: list[np.ndarray] = []
-        self.fed_gains: list[np.ndarray] = []
+        self.phi: np.ndarray | None = None
 
     @property
     def round(self) -> int:
@@ -318,20 +306,21 @@ class _ForecasterBase:
             raise RuntimeError(f"horizon of {self.grid.T} rounds already exhausted")
 
     def _finish_round(self, x: Context, phi: PhiProfile, dist: TwoPointDistribution, y: float):
+        """Record the round; returns it with the 1-based bins of its lowest and highest support points."""
         p_tilde, b, p = self._pending
         y = float(y)
         if not 0.0 <= y <= 1.0:
             raise ValueError(f"label must lie in [0, 1], got {y}")
-        rec = RoundRecord(self.round + 1, x, p_tilde, b, p, y, dist)
-        self.records.append(rec)
-        self.phi_rows.append(phi.values)
-        return rec
-
-    def _feed_experts(self, gains: np.ndarray, dist: TwoPointDistribution) -> None:
-        """Update only the experts of the support bins, the rest having gained 0."""
         grid = self.grid
         lo, hi = grid.bin_of_index(dist.support_idx[0]), grid.bin_of_index(dist.support_idx[-1])
-        per_bin = gains.size // grid.N  # 2 |F| experts per bin
+        values = self.phi = phi.values
+        rec = RoundRecord(self.round + 1, x, p_tilde, b, p, y, dist, values[lo - 1], values[hi - 1])
+        self.records.append(rec)
+        return rec, lo, hi
+
+    def _feed_experts(self, gains: np.ndarray, lo: int, hi: int) -> None:
+        """Update only the experts of the support bins lo..hi, the rest having gained 0."""
+        per_bin = gains.size // self.grid.N  # 2 |F| experts per bin
         expert_update(self.experts, gains[per_bin * (lo - 1) : per_bin * hi], per_bin * (lo - 1))
 
 
@@ -343,15 +332,8 @@ class EfficientForecaster(_ForecasterBase):
     observe (with outcomes +ident(p, y) and -ident(p, y) respectively).
     """
 
-    def __init__(
-        self,
-        grid: GridConfig,
-        prop: Property,
-        cls: HypothesisClass,
-        rng,
-        log_gains: bool = False,
-    ) -> None:
-        super().__init__(grid, prop, rng, log_gains)
+    def __init__(self, grid: GridConfig, prop: Property, cls: HypothesisClass, rng) -> None:
+        super().__init__(grid, prop, rng)
         self.cls = cls
         rows = 2 * grid.N
         if cls.variant == "finite":
@@ -359,7 +341,6 @@ class EfficientForecaster(_ForecasterBase):
         else:
             self.bank = LinearLearnerBank(cls.dim, rows)
         self.experts = expert_init(rows, grid.T)
-        self.q_rows: list[np.ndarray] = []
 
     def step(self, x: Context, outcome_fn) -> RoundRecord:
         """Run one round; ``outcome_fn()`` reveals the label after sampling."""
@@ -372,31 +353,20 @@ class EfficientForecaster(_ForecasterBase):
         dist = solve_distribution(phi, grid)
         self._pending = sample_and_round(dist, grid, self.rng)
         y = outcome_fn()
-        rec = self._finish_round(x, phi, dist, y)
-        gains = gains_efficient(dist, self.prop, q, rec.y, grid)
-        self._feed_experts(gains, dist)
+        rec, lo, hi = self._finish_round(x, phi, dist, y)
+        self._feed_experts(gains_efficient(dist, self.prop, q, rec.y, grid), lo, hi)
         outcome = eval_identification(self.prop, rec.p, rec.y)
         self.bank.observe_pair(2 * (rec.bin - 1), h, outcome)
-        if self.log_gains:
-            self.fed_gains.append(gains)
-            self.q_rows.append(q)
         return rec
 
 
 class InefficientForecaster(_ForecasterBase):
     """Reference engine that enumerates a finite class: 2N|F| experts."""
 
-    def __init__(
-        self,
-        grid: GridConfig,
-        prop: Property,
-        cls: HypothesisClass,
-        rng,
-        log_gains: bool = False,
-    ) -> None:
+    def __init__(self, grid: GridConfig, prop: Property, cls: HypothesisClass, rng) -> None:
         if cls.variant != "finite":
             raise ValueError("the enumerating engine needs a finite class")
-        super().__init__(grid, prop, rng, log_gains)
+        super().__init__(grid, prop, rng)
         self.cls = cls
         self.experts = expert_init(2 * grid.N * cls.size, grid.T)
 
@@ -410,10 +380,6 @@ class InefficientForecaster(_ForecasterBase):
         dist = solve_distribution(phi, grid)
         self._pending = sample_and_round(dist, grid, self.rng)
         y = outcome_fn()
-        rec = self._finish_round(x, phi, dist, y)
-        gains = gains_inefficient(dist, self.prop, self.cls, x, rec.y, grid, fvals)
-        self._feed_experts(gains, dist)
-        if self.log_gains:
-            self.fed_gains.append(gains)
+        rec, lo, hi = self._finish_round(x, phi, dist, y)
+        self._feed_experts(gains_inefficient(dist, self.prop, self.cls, x, rec.y, grid, fvals), lo, hi)
         return rec
-

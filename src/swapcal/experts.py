@@ -100,10 +100,6 @@ class ExpertState:
         """Normalized (J, K) log-distributions, one row per rate (a copy)."""
         return self._log - np.log(self._mass)[:, None]
 
-    def weight_table(self) -> np.ndarray:
-        """Normalized (J, K) probability table (a copy)."""
-        return self._table / self._mass[:, None]
-
     def master_weights(self) -> np.ndarray:
         """Normalized (J,) master distribution."""
         return self._master

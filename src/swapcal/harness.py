@@ -16,10 +16,14 @@ Output files per run directory:
                     "log_phi": true)
     metrics.csv     config_hash, seed, T, N, r, cal, mcal, smcal, mcal_exact
 
-The audit reads config.json, laws.csv and transcript.csv: a round's
-expected audit needs phi only at its support bins, which transcript.csv
-holds.  When phi.csv exists, the audit also checks it against those
-columns.
+transcript.csv's columns are those of ``metrics.Transcript``: ``run``
+returns them in memory, ``persist_run`` writes them as they are, and the
+audit and ``metrics`` read them back through one checked reader.  The
+audit reads config.json, laws.csv and transcript.csv: a round's expected
+audit needs phi only at its support bins, which transcript.csv holds.
+When phi.csv exists, the audit also checks it against those columns.  In
+memory, ``RunResult.phi_rows`` holds the full profile only with
+"log_phi": true.
 
 Wall-clock timing goes to stdout only, keeping every persisted file
 byte-identical across replays of the same config.
@@ -43,12 +47,20 @@ from .engine import (
     InefficientForecaster,
     default_bin_count,
 )
-from .hypotheses import parse_class
-from .metrics import Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
-from .properties import LabelLaw, LawColumns, Property, marginal_identification, parse_property
+from .hypotheses import NORM_TOL, parse_class
+from .metrics import TRANSCRIPT_COLUMNS, Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
+from .properties import (
+    LAW_KINDS,
+    LabelLaw,
+    LawColumns,
+    Property,
+    invalid_law_params,
+    marginal_identification,
+    parse_property,
+)
 
 AUDIT_SLACK = 1e-9
-TRANSCRIPT_HEADER = ["t", "p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi"]
+TRANSCRIPT_HEADER = ["t", *TRANSCRIPT_COLUMNS]
 _INTEGER_COLUMNS = ("t", "bin", "j_lo", "j_hi")
 _CONFIG_KEYS = {
     "engine",
@@ -191,34 +203,40 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
+    """A finished run: its transcript (transcript.csv's columns and the contexts) and laws.
+
+    ``phi_rows`` holds the (T, N) hedging profile only when the config
+    sets ``log_phi``, and is None otherwise.
+    """
+
     config: ExperimentConfig
     transcript: Transcript
     laws: list[LabelLaw]
-    phi_rows: np.ndarray
+    phi_rows: np.ndarray | None
     rho: float
     metrics: dict
     wall_time: float
-    engine: object = None
 
 
-def run(config: ExperimentConfig, out_dir=None, log_gains: bool = False):
+def run(config: ExperimentConfig, out_dir=None):
     """Execute T protocol rounds and compute the configured metrics."""
     prop, cls_obj, adversary = config.build_components()
     streams = component_streams(config.seed)
     grid = GridConfig(config.bin_count, config.T)
-    if config.engine == "efficient":
-        engine = EfficientForecaster(grid, prop, cls_obj, streams["engine"], log_gains=log_gains)
-    else:
-        engine = InefficientForecaster(grid, prop, cls_obj, streams["engine"], log_gains=log_gains)
+    engine_cls = EfficientForecaster if config.engine == "efficient" else InefficientForecaster
+    engine = engine_cls(grid, prop, cls_obj, streams["engine"])
     adv_rng = streams["adversary"]
     laws: list[LabelLaw] = []
+    phi_rows = np.empty((config.T, grid.N)) if config.log_phi else None
     start = time.perf_counter()
-    for _ in range(config.T):
+    for t in range(config.T):
         x = adversary.next_context(adv_rng)
         law = adversary.next_label_law(x)  # fixed before the forecaster samples
         laws.append(law)
         rec = engine.step(x, lambda: sample_label(law, adv_rng))
         adversary.observe(rec.p, rec.y)
+        if phi_rows is not None:
+            phi_rows[t] = engine.phi
     wall = time.perf_counter() - start
     transcript = Transcript.from_records(grid, engine.records)
     agg = aggregate(transcript, prop, cls_obj)
@@ -237,11 +255,10 @@ def run(config: ExperimentConfig, out_dir=None, log_gains: bool = False):
         config=config,
         transcript=transcript,
         laws=laws,
-        phi_rows=np.vstack(engine.phi_rows),
+        phi_rows=phi_rows,
         rho=adversary.rho(prop),
         metrics=metrics_row,
         wall_time=wall,
-        engine=engine,
     )
     if out_dir is not None:
         persist_run(result, Path(out_dir))
@@ -272,38 +289,21 @@ def _bins_of(grid: GridConfig, j: np.ndarray) -> np.ndarray:
     return np.where(j >= grid.T, grid.N, j * grid.N // grid.T + 1)
 
 
-def _support_columns(transcript: Transcript, phi_rows: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-round support indices, lower-point probability and phi at the support bins."""
-    grid = transcript.grid
-    # support points sit exactly on the 1/T grid; recover the integer index
-    j_lo = np.rint(transcript.support_lo * grid.T).astype(np.int64)
-    j_hi = np.rint(transcript.support_hi * grid.T).astype(np.int64)
-    rows = np.arange(len(transcript))
-    return {
-        "j_lo": j_lo,
-        "j_hi": j_hi,
-        "prob_lo": transcript.prob_lo,
-        "phi_lo": phi_rows[rows, _bins_of(grid, j_lo) - 1],
-        "phi_hi": phi_rows[rows, _bins_of(grid, j_hi) - 1],
-    }
-
-
 def persist_run(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     tr = result.transcript
-    columns = {"p_tilde": tr.p_tilde, "bin": tr.bins, "p": tr.p, "y": tr.y, **_support_columns(tr, result.phi_rows)}
     _write_csv(
         out_dir / "transcript.csv",
         TRANSCRIPT_HEADER,
-        zip(range(1, len(tr) + 1), *(columns[name].tolist() for name in TRANSCRIPT_HEADER[1:])),
+        zip(range(1, len(tr) + 1), *(column.tolist() for column in tr.columns().values())),
     )
     d = tr.features.shape[1]
     _write_csv(
         out_dir / "contexts.csv",
         ["t"] + [f"x{k}" for k in range(d)],
-        ((t + 1, *tr.features[t]) for t in range(len(tr))),
+        ((t, *row) for t, row in enumerate(tr.features.tolist(), start=1)),
     )
     _write_csv(
         out_dir / "laws.csv",
@@ -317,7 +317,7 @@ def persist_run(result: RunResult, out_dir: Path) -> None:
         _write_csv(
             out_dir / "phi.csv",
             ["t"] + [f"v{k + 1}" for k in range(tr.grid.N)],
-            ((t + 1, *result.phi_rows[t]) for t in range(len(tr))),
+            ((t, *row) for t, row in enumerate(result.phi_rows.tolist(), start=1)),
         )
     header = list(result.metrics.keys())
     _write_csv(out_dir / "metrics.csv", header, [tuple(result.metrics[k] for k in header)])
@@ -356,6 +356,19 @@ def _parse_column(path: Path, name: str, values, dtype) -> np.ndarray:
         raise
 
 
+def _reject_bad_rows(path: Path, columns: dict[str, np.ndarray], checks) -> None:
+    """Raise a ValueError naming the first row that fails a check, and the first of its columns that does.
+
+    ``checks`` holds (column, mask over the rows, what a bad entry is) in
+    dependency order.
+    """
+    bad = np.stack([mask for _, mask, _ in checks])
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=0)))
+        name, _, what = checks[int(np.argmax(bad[:, t]))]
+        raise ValueError(f"{path.name}: row {t + 1}, column {name}: {columns[name][t].item()!r} is {what}")
+
+
 def read_transcript(path: Path, grid: GridConfig) -> dict[str, np.ndarray]:
     """The columns of a persisted transcript.csv, checked to be what an engine writes.
 
@@ -386,12 +399,29 @@ def read_transcript(path: Path, grid: GridConfig) -> dict[str, np.ndarray]:
         ("y", ~((c["y"] >= 0.0) & (c["y"] <= 1.0)), "not a label in [0, 1]"),  # NaN fails both comparisons
         ("phi_hi", (bin_lo == bin_hi) & (c["phi_hi"] != c["phi_lo"]), "not phi_lo, though both points share a bin"),
     )
-    bad = np.stack([mask for _, mask, _ in checks])
-    if bad.any():
-        t = int(np.argmax(bad.any(axis=0)))
-        name, _, what = checks[int(np.argmax(bad[:, t]))]
-        raise ValueError(f"{path.name}: row {t + 1}, column {name}: {c[name][t].item()!r} is {what}")
+    _reject_bad_rows(path, c, checks)
     return c
+
+
+def _read_contexts(path: Path, T: int) -> np.ndarray:
+    """The (T, d) rows of contexts.csv, each checked to be a Context: finite, squared norm at most 1 + NORM_TOL."""
+    header, rows = _read_rounds(path, T)
+    try:
+        features = np.array(rows, dtype=np.float64)[:, 1:]
+    except ValueError:
+        for k, name in enumerate(header):
+            _parse_column(path, name, [row[k] for row in rows], np.float64)
+        raise
+    names = header[1:]
+    widest = np.argmax(np.abs(features), axis=1)
+    too_long = np.einsum("ij,ij->i", features, features) > 1.0 + NORM_TOL
+    checks = [(name, ~np.isfinite(features[:, k]), "not finite") for k, name in enumerate(names)]
+    checks += [
+        (name, too_long & (widest == k), f"the largest entry of a row whose squared norm is above 1 + {NORM_TOL:g}")
+        for k, name in enumerate(names)
+    ]
+    _reject_bad_rows(path, dict(zip(names, features.T)), checks)
+    return features
 
 
 def _law_groups(kinds: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> list[tuple[np.ndarray, LawColumns]]:
@@ -404,15 +434,24 @@ def _law_groups(kinds: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> list[tuple
 
 
 def _read_laws(path: Path, T: int) -> list[tuple[np.ndarray, LawColumns]]:
+    """The laws of laws.csv as (rounds, laws) groups; a bad kind or parameter is named by row and column."""
     _, rows = _read_rounds(path, T)
     kinds = np.array([row[1] for row in rows])
     p2 = np.array([row[3] for row in rows])
-    bad = (p2 == "") == (kinds == "beta")
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ValueError(f"{path.name}: row {t + 1}, column p2: {p2[t]!r} does not fit a {kinds[t]} law")
+    beta = kinds == "beta"
+    checks = (
+        ("kind", ~np.isin(kinds, LAW_KINDS), f"not a law kind ({', '.join(LAW_KINDS)})"),
+        ("p2", (p2 == "") == beta, "not what the row's law takes: a number for beta laws, else blank"),
+    )
+    _reject_bad_rows(path, {"kind": kinds, "p2": p2}, checks)
     p1 = _parse_column(path, "p1", [row[2] for row in rows], np.float64)
-    p2 = _parse_column(path, "p2", np.where(p2 == "", "nan", p2).tolist(), np.float64)
+    p2 = _parse_column(path, "p2", np.where(beta, p2, "nan").tolist(), np.float64)
+    bad = np.zeros((2, T), dtype=bool)
+    for kind in LAW_KINDS:
+        for k, mask in enumerate(invalid_law_params(kind, (p1, p2))):
+            bad[k] |= (kinds == kind) & mask
+    checks = (("p1", bad[0], "out of range for the row's law"), ("p2", bad[1], "out of range for a beta law"))
+    _reject_bad_rows(path, {"p1": p1, "p2": p2}, checks)
     return _law_groups(kinds, p1, p2)
 
 
@@ -429,41 +468,17 @@ class AuditReport:
         return cls(values, bound, max_value, max_value <= bound)
 
 
-def audit_round(
-    prop: Property,
-    grid: GridConfig,
-    law: LabelLaw,
-    support_lo: float,
-    support_hi: float,
-    prob_lo: float,
-    phi_row: np.ndarray,
-) -> float:
-    """Recompute E_{p ~ P_t}[phi_t(p) * marginal residual(p, law)] for one round.
-
-    The scalar form of ``audit_values``, kept as its reference.
-    """
-    # support points sit exactly on the 1/T grid; recover the integer index
-    # so bin membership matches the engine's exact arithmetic
-    j_lo = round(support_lo * grid.T)
-    value = prob_lo * phi_row[grid.bin_of_index(j_lo) - 1] * marginal_identification(prop, support_lo, law)
-    if support_hi != support_lo:
-        j_hi = round(support_hi * grid.T)
-        value += (1.0 - prob_lo) * phi_row[grid.bin_of_index(j_hi) - 1] * marginal_identification(
-            prop, support_hi, law
-        )
-    return float(value)
-
-
 def audit_values(
     prop: Property, grid: GridConfig, laws: list[tuple[np.ndarray, LawColumns]], rounds: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """``audit_round`` for every round at once.
+    """E_{p ~ P_t}[phi_t(p) * marginal residual(p, law_t)] of every round t.
 
     ``laws`` holds (rounds, laws) groups of one law kind each, and
-    ``rounds`` the columns j_lo, j_hi, prob_lo, phi_lo and phi_hi.  The
-    marginal residuals are computed per law kind over all of its rounds,
-    and every value comes out of the same float operations as the scalar
-    form, so the two agree bit for bit.
+    ``rounds`` the transcript columns j_lo, j_hi, prob_lo, phi_lo and
+    phi_hi.  The marginal residuals are computed per law kind over all of
+    its rounds, and every value comes out of the same float operations as
+    the one-round form kept as a reference in the tests, so the two agree
+    bit for bit.
     """
     j_lo, j_hi, prob_lo = rounds["j_lo"], rounds["j_hi"], rounds["prob_lo"]
     marginal_lo = np.empty(prob_lo.size)
@@ -485,7 +500,7 @@ def audit_result(result: RunResult) -> AuditReport:
         np.array([law.params[0] for law in result.laws]),
         np.array([law.params[-1] for law in result.laws]),
     )
-    values = audit_values(prop, tr.grid, laws, _support_columns(tr, result.phi_rows))
+    values = audit_values(prop, tr.grid, laws, tr.columns())
     return AuditReport.of(values, result.rho / tr.grid.T + AUDIT_SLACK)
 
 
@@ -635,18 +650,7 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     prop, cls_obj, _ = config.build_components()
     grid = GridConfig(config.bin_count, config.T)
     rounds = read_transcript(run_dir / "transcript.csv", grid)
-    _, ctx_rows = _read_rounds(run_dir / "contexts.csv", config.T)
-    transcript = Transcript(
-        grid=grid,
-        p_tilde=rounds["p_tilde"],
-        bins=rounds["bin"],
-        p=rounds["p"],
-        y=rounds["y"],
-        features=np.array([[float(v) for v in row[1:]] for row in ctx_rows]),
-        support_lo=rounds["j_lo"] / grid.T,
-        support_hi=rounds["j_hi"] / grid.T,
-        prob_lo=rounds["prob_lo"],
-    )
+    transcript = Transcript.from_columns(grid, rounds, _read_contexts(run_dir / "contexts.csv", config.T))
     agg = aggregate(transcript, prop, cls_obj)
     out = []
     for r in r_values:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_NORM_TOL = 1e-9
+NORM_TOL = 1e-9  # slack on the squared norm of a context
 
 
 class Context:
@@ -29,7 +29,7 @@ class Context:
         if x.ndim != 1:
             raise ValueError("context features must be a 1-d vector")
         sq = float(x @ x)
-        if not sq <= 1.0 + _NORM_TOL:  # catches non-finite entries too
+        if not sq <= 1.0 + NORM_TOL:  # catches non-finite entries too
             raise ValueError("context features must be finite with norm at most 1")
         self.features = x
 
@@ -85,41 +85,6 @@ class GroupIndicator(TestFunction):
 
     def __repr__(self) -> str:
         return f"GroupIndicator({self.coordinate}, {self.threshold!r}, {self.polarity:+d})"
-
-
-class LinearFixed(TestFunction):
-    """x -> <theta, x> for a fixed unit-norm direction."""
-
-    def __init__(self, theta) -> None:
-        t = np.asarray(theta, dtype=np.float64)
-        if float(t @ t) > 1.0 + _NORM_TOL:
-            raise ValueError("linear test direction must have norm at most 1")
-        self.theta = t
-
-    def __call__(self, x: Context) -> float:
-        if x.dim != self.theta.shape[0]:
-            raise ValueError("dimension mismatch")
-        return float(self.theta @ x.features)
-
-    def batch(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.theta
-
-    def __repr__(self) -> str:
-        return f"LinearFixed({self.theta.tolist()})"
-
-
-class Negation(TestFunction):
-    def __init__(self, inner: TestFunction) -> None:
-        self.inner = inner
-
-    def __call__(self, x: Context) -> float:
-        return -self.inner(x)
-
-    def batch(self, features: np.ndarray) -> np.ndarray:
-        return -self.inner.batch(features)
-
-    def __repr__(self) -> str:
-        return f"Negation({self.inner!r})"
 
 
 class SupCorrelation(NamedTuple):

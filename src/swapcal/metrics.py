@@ -1,6 +1,10 @@
-"""Exact calibration, multicalibration and swap-multicalibration errors.
+"""Run transcripts and their exact calibration, multicalibration and swap-multicalibration errors.
 
-All three read off a transcript through per-bin aggregates.  With n_i the
+A ``Transcript`` holds the columns of transcript.csv (see
+``TRANSCRIPT_COLUMNS``) plus the context rows, so a run in memory and a
+run read back from disk are the same record.
+
+All three errors read off a transcript through per-bin aggregates.  With n_i the
 number of rounds predicted in bin i and, for each test function f,
 S_{i,f} = sum over those rounds of f(x_t) * ident(p_t, y_t):
 
@@ -33,9 +37,19 @@ _ASCENT_RESTARTS = 32
 _ASCENT_STEPS = 200
 
 
+# transcript.csv's columns after t; each is held in the Transcript field of its name, "bin" in ``bins``
+TRANSCRIPT_COLUMNS = ("p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi")
+_FIELDS = tuple("bins" if name == "bin" else name for name in TRANSCRIPT_COLUMNS)
+
+
 @dataclass
 class Transcript:
-    """Column-oriented record of a full run."""
+    """Column-oriented record of a full run: transcript.csv's columns plus the contexts.
+
+    The support of round t is the grid points j_lo[t]/T <= j_hi[t]/T
+    (equal on a one-point support), with probability prob_lo[t] on the
+    lower one; phi_lo and phi_hi are the hedging profile at their bins.
+    """
 
     grid: GridConfig
     p_tilde: np.ndarray
@@ -43,14 +57,15 @@ class Transcript:
     p: np.ndarray
     y: np.ndarray
     features: np.ndarray   # (T, d) context rows
-    support_lo: np.ndarray
-    support_hi: np.ndarray
+    j_lo: np.ndarray       # int64 1/T-grid indices
+    j_hi: np.ndarray
     prob_lo: np.ndarray
+    phi_lo: np.ndarray
+    phi_hi: np.ndarray
 
     def __post_init__(self) -> None:
         T = self.p.shape[0]
-        cols = (self.p_tilde, self.bins, self.y, self.support_lo, self.support_hi, self.prob_lo)
-        if any(c.shape[0] != T for c in cols) or self.features.shape[0] != T:
+        if any(c.shape[0] != T for c in self.columns().values()) or self.features.shape[0] != T:
             raise ValueError("transcript columns must share one length")
         if T > self.grid.T:
             raise ValueError("transcript longer than its grid horizon")
@@ -58,25 +73,40 @@ class Transcript:
     def __len__(self) -> int:
         return self.p.shape[0]
 
+    @property
+    def support_lo(self) -> np.ndarray:
+        return self.j_lo / self.grid.T
+
+    @property
+    def support_hi(self) -> np.ndarray:
+        return self.j_hi / self.grid.T
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """transcript.csv's columns after t, by name, in file order."""
+        return {name: getattr(self, field) for name, field in zip(TRANSCRIPT_COLUMNS, _FIELDS)}
+
+    @classmethod
+    def from_columns(cls, grid: GridConfig, columns: dict[str, np.ndarray], features: np.ndarray) -> "Transcript":
+        return cls(grid=grid, features=features, **{field: columns[name] for name, field in zip(TRANSCRIPT_COLUMNS, _FIELDS)})
+
     @classmethod
     def from_records(cls, grid: GridConfig, records: list[RoundRecord]) -> "Transcript":
         if not records:
             raise ValueError("empty transcript")
-        T = len(records)
-        p_tilde = np.array([r.p_tilde for r in records])
-        bins = np.array([r.bin for r in records], dtype=np.int64)
-        p = np.array([r.p for r in records])
-        y = np.array([r.y for r in records])
-        features = np.vstack([r.x.features for r in records])
-        support_lo = np.empty(T)
-        support_hi = np.empty(T)
-        prob_lo = np.empty(T)
-        for k, r in enumerate(records):
-            pts = r.distribution.points
-            support_lo[k] = pts[0]
-            support_hi[k] = pts[-1]
-            prob_lo[k] = r.distribution.probs[0]
-        return cls(grid, p_tilde, bins, p, y, features, support_lo, support_hi, prob_lo)
+        dists = [r.distribution for r in records]
+        return cls(
+            grid=grid,
+            p_tilde=np.array([r.p_tilde for r in records]),
+            bins=np.array([r.bin for r in records], dtype=np.int64),
+            p=np.array([r.p for r in records]),
+            y=np.array([r.y for r in records]),
+            features=np.vstack([r.x.features for r in records]),
+            j_lo=np.array([d.support_idx[0] for d in dists], dtype=np.int64),
+            j_hi=np.array([d.support_idx[-1] for d in dists], dtype=np.int64),
+            prob_lo=np.array([d.probs[0] for d in dists]),
+            phi_lo=np.array([r.phi_lo for r in records]),
+            phi_hi=np.array([r.phi_hi for r in records]),
+        )
 
 
 @dataclass
@@ -88,10 +118,6 @@ class BinAggregate:
     counts: np.ndarray            # (N,) rounds per bin, zeros kept
     member_sums: np.ndarray | None  # (N, |F|) for finite classes
     moment_vectors: np.ndarray | None  # (N, d) for the linear class
-
-    @property
-    def total_rounds(self) -> int:
-        return int(self.counts.sum())
 
 
 def aggregate(transcript: Transcript, prop: Property, cls: HypothesisClass) -> BinAggregate:

@@ -133,8 +133,8 @@ class LabelLaw:
                 raise ValueError("bernoulli mean must lie in [0, 1]")
         elif self.kind == "beta":
             a, b = self.params
-            if a <= 0 or b <= 0:
-                raise ValueError("beta parameters must be positive")
+            if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
+                raise ValueError("beta parameters must be finite and positive")
         elif self.kind == "point_mass":
             (y,) = self.params
             if not 0.0 <= y <= 1.0:
@@ -186,10 +186,7 @@ class LawColumns:
         params = tuple(np.asarray(c, dtype=np.float64) for c in self.params)
         if len(params) != count or params[-1].shape != params[0].shape:
             raise ValueError(f"{self.kind} laws need {count} parameter columns of one length")
-        if self.kind == "beta":
-            bad = (params[0] <= 0) | (params[1] <= 0)
-        else:
-            bad = ~((params[0] >= 0.0) & (params[0] <= 1.0))
+        bad = np.logical_or.reduce(invalid_law_params(self.kind, params))
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"{self.kind} law {k}: parameters {tuple(float(c[k]) for c in params)} out of range")
@@ -206,6 +203,18 @@ class LawColumns:
 
     def partial_mean(self, p: np.ndarray) -> np.ndarray:
         return _law_partial_mean(self.kind, self.params, p)
+
+
+def invalid_law_params(kind: str, params: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Per parameter of a law kind, the entries of its column that LabelLaw rejects.
+
+    Beta parameters must be finite and positive; a bernoulli mean or a
+    point mass must lie in [0, 1].  NaN fails every rule.  Columns after
+    the kind's parameter count are ignored.
+    """
+    if kind == "beta":
+        return tuple(~((c > 0.0) & (c < np.inf)) for c in params[:2])
+    return (~((params[0] >= 0.0) & (params[0] <= 1.0)),)
 
 
 # The closed forms of both law types.  Each takes scalar or array

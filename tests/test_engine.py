@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import swapcal.engine as engine_mod
 from swapcal.adversaries import LogisticAdversary, default_logistic_weights, sample_label
 from swapcal.engine import (
     EfficientForecaster,
@@ -41,9 +42,8 @@ def test_grid_validation_and_bins():
     assert grid.bin_of_index(5) == 2   # 0.5 in [0.5, 1]
     assert grid.bin_of_index(10) == 2
     grid4 = GridConfig(4, 100)
-    assert grid4.bin_of(0.0) == 1
-    assert grid4.bin_of(1.0) == 4
-    assert grid4.z(4) == 1.0
+    assert grid4.bin_of_index(0) == 1
+    assert grid4.bin_of_index(100) == 4
 
 
 def test_default_bin_count():
@@ -215,12 +215,40 @@ def test_gains_efficient_examples():
         assert abs(g[2]) <= 2.0 / 3.0 + 1e-12 and abs(g[3]) <= 2.0 / 3.0 + 1e-12
 
 
-def make_efficient(N=4, T=64, dim=3, variant="linear", seed=0, log_gains=False):
+def make_efficient(N=4, T=64, dim=3, variant="linear", seed=0):
     grid = GridConfig(N, T)
     prop = mean_property()
     cls = HypothesisClass.linear(dim) if variant == "linear" else generate_group_indicators(5, dim, seed=2)
     rng = np.random.default_rng(seed)
-    return EfficientForecaster(grid, prop, cls, rng, log_gains=log_gains), grid, prop, cls
+    return EfficientForecaster(grid, prop, cls, rng), grid, prop, cls
+
+
+def record_fed_gains(monkeypatch):
+    """Wrap the engine's gains functions and expert update; return the per-round log they fill.
+
+    Entry t holds the arguments of round t's gains call and the gains the
+    experts were fed as a full vector: the window passed to
+    ``expert_update``, zero elsewhere.
+    """
+    log = []
+
+    def recording(gains_fn):
+        def wrapped(*args):
+            gains = gains_fn(*args)
+            log.append({"args": args, "fed": np.zeros_like(gains)})
+            return gains
+
+        return wrapped
+
+    def update(state, gains, start):
+        log[-1]["fed"][start : start + gains.size] = gains
+        return real_update(state, gains, start)
+
+    real_update = engine_mod.expert_update
+    monkeypatch.setattr(engine_mod, "gains_efficient", recording(engine_mod.gains_efficient))
+    monkeypatch.setattr(engine_mod, "gains_inefficient", recording(engine_mod.gains_inefficient))
+    monkeypatch.setattr(engine_mod, "expert_update", update)
+    return log
 
 
 def drive(engine, rounds, adv_seed=1):
@@ -302,10 +330,13 @@ def test_capacity_error_after_horizon():
         engine.step(Context([0.0, 0.0, 0.0]), lambda: 0.5)
 
 
-def test_fed_gains_match_independent_recomputation_efficient():
-    engine, grid, prop, _ = make_efficient(N=4, T=120, log_gains=True)
+def test_fed_gains_match_independent_recomputation_efficient(monkeypatch):
+    fed_log = record_fed_gains(monkeypatch)
+    engine, grid, prop, _ = make_efficient(N=4, T=120)
     drive(engine, 120)
-    for rec, fed, q in zip(engine.records, engine.fed_gains, engine.q_rows):
+    assert len(fed_log) == 120
+    for rec, entry in zip(engine.records, fed_log):
+        fed, q = entry["fed"], entry["args"][2]
         # independent oracle: explicit loop over (bin, sign) pairs
         for i in range(1, grid.N + 1):
             mass = 0.0
@@ -317,18 +348,21 @@ def test_fed_gains_match_independent_recomputation_efficient():
                 assert fed[k] == pytest.approx(sigma * q[k] * mass, abs=1e-12)
 
 
-def test_fed_gains_match_independent_recomputation_inefficient():
+def test_fed_gains_match_independent_recomputation_inefficient(monkeypatch):
+    fed_log = record_fed_gains(monkeypatch)
     grid = GridConfig(3, 90)
     prop = mean_property()
     cls = generate_group_indicators(4, 3, seed=5)
-    engine = InefficientForecaster(grid, prop, cls, np.random.default_rng(3), log_gains=True)
+    engine = InefficientForecaster(grid, prop, cls, np.random.default_rng(3))
     adv = LogisticAdversary(default_logistic_weights(3))
     arng = np.random.default_rng(4)
     for _ in range(90):
         x = adv.next_context(arng)
         law = adv.next_label_law(x)
         engine.step(x, lambda: sample_label(law, arng))
-    for rec, fed in zip(engine.records, engine.fed_gains):
+    assert len(fed_log) == 90
+    for rec, entry in zip(engine.records, fed_log):
+        fed = entry["fed"]
         fvals = cls.member_values(rec.x)
         for f_idx in range(cls.size):
             for i in range(1, grid.N + 1):
@@ -363,7 +397,7 @@ def test_enumerating_engine_matches_member_major_reference():
         fvals = [f(x) for f in cls.members]
         phi = [sum(fvals[m] * (w[m, i, 0] - w[m, i, 1]) for m in range(F)) for i in range(N)]
         rec = engine.step(x, lambda: sample_label(law, arng))
-        np.testing.assert_allclose(engine.phi_rows[-1], phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(engine.phi, phi, rtol=0, atol=1e-12)
         g = np.zeros((F, N, 2))
         for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
             mass = pr * eval_identification(prop, j / grid.T, rec.y)
@@ -382,9 +416,11 @@ def test_per_round_hedging_bound_mean():
         x = adv.next_context(arng)
         law = adv.next_label_law(x)
         rec = engine.step(x, lambda: sample_label(law, arng))
-        phi_row = engine.phi_rows[-1]
+        phi_row = engine.phi
+        support = rec.distribution.support_idx
+        assert (rec.phi_lo, rec.phi_hi) == (phi_row[grid.bin_of_index(support[0]) - 1], phi_row[grid.bin_of_index(support[-1]) - 1])
         value = 0.0
-        for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
+        for j, pr in zip(support, rec.distribution.probs):
             value += pr * phi_row[grid.bin_of_index(j) - 1] * marginal_identification(prop, j / grid.T, law)
         assert value <= 1.0 / grid.T + 1e-9
 

@@ -7,11 +7,9 @@ import pytest
 from swapcal.cli import main as cli_main
 from swapcal.engine import GridConfig
 from swapcal.harness import (
-    TRANSCRIPT_HEADER,
     ConfigError,
     ExperimentConfig,
     audit_result,
-    audit_round,
     audit_run_dir,
     audit_values,
     component_streams,
@@ -21,7 +19,43 @@ from swapcal.harness import (
     run,
     sweep,
 )
-from swapcal.properties import LawColumns, bernoulli_law, beta_law, mean_property, parse_property, point_mass_law
+from swapcal.properties import (
+    LabelLaw,
+    LawColumns,
+    Property,
+    bernoulli_law,
+    beta_law,
+    marginal_identification,
+    mean_property,
+    parse_property,
+    point_mass_law,
+)
+from test_engine import record_fed_gains
+
+
+def audit_round(
+    prop: Property,
+    grid: GridConfig,
+    law: LabelLaw,
+    support_lo: float,
+    support_hi: float,
+    prob_lo: float,
+    phi_row: np.ndarray,
+) -> float:
+    """Recompute E_{p ~ P_t}[phi_t(p) * marginal residual(p, law)] for one round.
+
+    The scalar form of ``harness.audit_values``, kept as its reference.
+    """
+    # support points sit exactly on the 1/T grid; recover the integer index
+    # so bin membership matches the engine's exact arithmetic
+    j_lo = round(support_lo * grid.T)
+    value = prob_lo * phi_row[grid.bin_of_index(j_lo) - 1] * marginal_identification(prop, support_lo, law)
+    if support_hi != support_lo:
+        j_hi = round(support_hi * grid.T)
+        value += (1.0 - prob_lo) * phi_row[grid.bin_of_index(j_hi) - 1] * marginal_identification(
+            prop, support_hi, law
+        )
+    return float(value)
 
 
 def small_config(**overrides):
@@ -106,7 +140,7 @@ def test_transcript_round_trip(tmp_path):
     res = run(cfg, out_dir=tmp_path)
     header, rows = read_csv(tmp_path / "transcript.csv")
     assert header == ["t", "p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi"]
-    assert not (tmp_path / "phi.csv").exists()
+    assert not (tmp_path / "phi.csv").exists() and res.phi_rows is None
     tr = res.transcript
     grid = tr.grid
     for t, row in enumerate(rows):
@@ -115,11 +149,19 @@ def test_transcript_round_trip(tmp_path):
         assert int(row[2]) == tr.bins[t]
         assert float(row[3]) == tr.p[t]
         assert float(row[4]) == tr.y[t]
-        assert int(row[5]) / grid.T == tr.support_lo[t]
-        assert int(row[6]) / grid.T == tr.support_hi[t]
+        assert int(row[5]) == tr.j_lo[t] and int(row[5]) / grid.T == tr.support_lo[t]
+        assert int(row[6]) == tr.j_hi[t] and int(row[6]) / grid.T == tr.support_hi[t]
         assert float(row[7]) == tr.prob_lo[t]
-        assert float(row[8]) == res.phi_rows[t][grid.bin_of_index(int(row[5])) - 1]
-        assert float(row[9]) == res.phi_rows[t][grid.bin_of_index(int(row[6])) - 1]
+        assert float(row[8]) == tr.phi_lo[t]
+        assert float(row[9]) == tr.phi_hi[t]
+    # with the profile logged, phi_lo/phi_hi are its entries at the support bins
+    logged = run(small_config(log_phi=True))
+    assert logged.phi_rows.shape == (len(tr), grid.N)
+    for name, column in logged.transcript.columns().items():
+        assert column.tolist() == tr.columns()[name].tolist(), name
+    for t in range(len(tr)):
+        assert tr.phi_lo[t] == logged.phi_rows[t, grid.bin_of_index(int(tr.j_lo[t])) - 1]
+        assert tr.phi_hi[t] == logged.phi_rows[t, grid.bin_of_index(int(tr.j_hi[t])) - 1]
 
 
 def test_metrics_recomputation_round_trip(tmp_path):
@@ -238,17 +280,24 @@ def test_batched_audit_equals_scalar_reference_bit_for_bit(property_spec):
     assert np.signbit(reference[reference == 0.0]).any()  # the signed-zero case was exercised
 
 
-def test_fed_gain_replay_matches_engine_log():
-    from swapcal.engine import gains_efficient
+def test_fed_gain_replay_matches_engine_log(monkeypatch):
+    from swapcal.engine import TwoPointDistribution, gains_efficient
 
+    fed_log = record_fed_gains(monkeypatch)
     cfg = small_config(T=150)
-    res = run(cfg, log_gains=True)
+    res = run(cfg)
     prop, _, _ = cfg.build_components()
-    engine = res.engine
-    grid = res.transcript.grid
-    for rec, fed, q in zip(engine.records, engine.fed_gains, engine.q_rows):
-        replayed = gains_efficient(rec.distribution, prop, q, rec.y, grid)
-        np.testing.assert_allclose(replayed, fed, atol=1e-12)
+    tr = res.transcript
+    grid = tr.grid
+    assert len(fed_log) == len(tr)
+    for t, entry in enumerate(fed_log):
+        j_lo, j_hi, prob_lo = int(tr.j_lo[t]), int(tr.j_hi[t]), float(tr.prob_lo[t])
+        if j_lo == j_hi:
+            dist = TwoPointDistribution((j_lo,), (1.0,), grid.T)
+        else:
+            dist = TwoPointDistribution((j_lo, j_hi), (prob_lo, 1.0 - prob_lo), grid.T)
+        replayed = gains_efficient(dist, prop, entry["args"][2], float(tr.y[t]), grid)
+        np.testing.assert_allclose(replayed, entry["fed"], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -355,12 +404,12 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _edit_transcript(path, t, **values):
-    """Overwrite named columns of round t in a transcript.csv."""
+def _edit_row(path, t, **values):
+    """Overwrite named columns of round t in a per-round log."""
     lines = path.read_text().splitlines()
-    row = lines[t].split(",")
+    header, row = lines[0].split(","), lines[t].split(",")
     for name, value in values.items():
-        row[TRANSCRIPT_HEADER.index(name)] = str(value)
+        row[header.index(name)] = str(value)
     lines[t] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
 
@@ -373,7 +422,7 @@ def test_cli_audit_failure_exit_code(tmp_path, capsys):
     # residual 1 - mu of its logistic law is far above rho/T
     cfg = ExperimentConfig.from_json(cfg_path)
     T, N = cfg.T, cfg.bin_count
-    _edit_transcript(out_dir / "transcript.csv", 1, p_tilde=1.0, bin=N, p=1.0, j_lo=T, j_hi=T, prob_lo=1.0, phi_lo=1.0, phi_hi=1.0)
+    _edit_row(out_dir / "transcript.csv", 1, p_tilde=1.0, bin=N, p=1.0, j_lo=T, j_hi=T, prob_lo=1.0, phi_lo=1.0, phi_hi=1.0)
     capsys.readouterr()
     assert cli_main(["audit", "--run", str(out_dir)]) == 2
     assert "FAIL" in capsys.readouterr().out
@@ -487,7 +536,7 @@ def test_audit_and_metrics_reject_an_inconsistent_transcript_column(tmp_path, ca
     original = tr_path.read_text()
     for t, edits in _round_edits(rows, column):
         tr_path.write_text(original)
-        _edit_transcript(tr_path, t, **edits)
+        _edit_row(tr_path, t, **edits)
         capsys.readouterr()
         assert cli_main(["audit", "--run", str(out_dir)]) == 2, edits
         captured = capsys.readouterr()
@@ -530,3 +579,38 @@ def test_cli_metrics_rejects_an_empty_order_list(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["metrics", "--run", str(out_dir), "--r", ","]) == 2
     assert "order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value,what",
+    [("abc", "is not a number"), ("nan", "is not finite"), ("-inf", "is not finite"), ("5.0", "squared norm is above 1 + 1e-09")],
+)
+def test_cli_metrics_rejects_a_bad_context(tmp_path, capsys, value, what):
+    out_dir, _ = _persisted_run(tmp_path)
+    _edit_row(out_dir / "contexts.csv", 9, x1=value)
+    capsys.readouterr()
+    assert cli_main(["metrics", "--run", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "metrics:" not in captured.out
+    assert "contexts.csv: row 9, column x1:" in captured.err and what in captured.err
+
+
+@pytest.mark.parametrize(
+    "adversary,column,value",
+    [
+        ("logistic", "p1", "5.0"),
+        ("logistic", "kind", "gamma"),
+        ("beta", "p1", "inf"),
+        ("beta", "p1", "nan"),
+        ("beta", "p2", "-1.0"),
+    ],
+)
+def test_cli_audit_rejects_a_bad_law(tmp_path, capsys, adversary, column, value):
+    spec = {"kind": "beta", "dim": 3, "a": 2.0, "b": 2.0} if adversary == "beta" else {"kind": "logistic", "dim": 3}
+    out_dir, _ = _persisted_run(tmp_path, adversary=spec)
+    _edit_row(out_dir / "laws.csv", 5, **{column: value})
+    capsys.readouterr()
+    assert cli_main(["audit", "--run", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert f"laws.csv: row 5, column {column}:" in captured.err

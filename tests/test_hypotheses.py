@@ -6,12 +6,11 @@ from swapcal.hypotheses import (
     Context,
     GroupIndicator,
     HypothesisClass,
-    LinearFixed,
-    Negation,
     generate_group_indicators,
     parse_class,
     sup_correlation,
 )
+from helpers import LinearFixed, Negation
 
 
 def brute_force_sup(sums):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, Negation, generate_group_indicators
+from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
 from swapcal.learners import (
     FiniteClassLearner,
     FiniteLearnerBank,
     LinearLearnerBank,
     UnitBallLearner,
 )
+from helpers import Negation
 
 
 def signed_pair():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from swapcal.engine import GridConfig
-from swapcal.hypotheses import Context, HypothesisClass, Negation, generate_group_indicators
+from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
 from swapcal.metrics import Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
 from swapcal.properties import eval_identification, mean_property
+from helpers import Negation
 
 
 def make_transcript(grid, bins, y, features):
@@ -15,6 +16,7 @@ def make_transcript(grid, bins, y, features):
     y = np.asarray(y, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     p = bins / grid.N
+    j = -(-(bins - 1) * grid.T // grid.N)  # the first grid point of the round's bin, a one-point support
     return Transcript(
         grid=grid,
         p_tilde=p.copy(),
@@ -22,9 +24,11 @@ def make_transcript(grid, bins, y, features):
         p=p,
         y=y,
         features=features,
-        support_lo=p.copy(),
-        support_hi=p.copy(),
+        j_lo=j,
+        j_hi=j.copy(),
         prob_lo=np.ones(len(bins)),
+        phi_lo=np.zeros(len(bins)),
+        phi_hi=np.zeros(len(bins)),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from swapcal.properties import (
     AssumptionReport,
     LabelLaw,
+    LawColumns,
     bernoulli_law,
     beta_law,
     check_assumption,
@@ -166,6 +167,18 @@ def test_label_law_validation():
         point_mass_law(-0.5)
     with pytest.raises(ValueError):
         LabelLaw("gamma", (1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_beta_laws_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        beta_law(bad, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        beta_law(2.0, bad)
+    with pytest.raises(ValueError, match="beta law 1"):
+        LawColumns("beta", (np.array([2.0, bad]), np.array([2.0, 2.0])))
+    with pytest.raises(ValueError, match="beta law 0"):
+        LawColumns("beta", (np.array([2.0, 2.0]), np.array([bad, 2.0])))
 
 
 def test_parse_property_specs():
