@@ -1,7 +1,8 @@
-"""Test functions that only the tests build: a fixed linear direction and a negation."""
+"""Shared test helpers: test functions that only the tests build, and a log of the gains fed to the experts."""
 
 import numpy as np
 
+import swapcal.engine as engine_mod
 from swapcal.hypotheses import NORM_TOL, Context, TestFunction
 
 
@@ -38,3 +39,31 @@ class Negation(TestFunction):
 
     def __repr__(self) -> str:
         return f"Negation({self.inner!r})"
+
+
+def record_fed_gains(monkeypatch):
+    """Wrap the engine's gains functions and expert update; return the per-round log they fill.
+
+    Entry t holds the arguments of round t's gains call and the gains the
+    experts were fed as a full vector: the window passed to
+    ``expert_update``, zero elsewhere.
+    """
+    log = []
+
+    def recording(gains_fn):
+        def wrapped(*args):
+            gains = gains_fn(*args)
+            log.append({"args": args, "fed": np.zeros_like(gains)})
+            return gains
+
+        return wrapped
+
+    def update(state, gains, start):
+        log[-1]["fed"][start : start + gains.size] = gains
+        return real_update(state, gains, start)
+
+    real_update = engine_mod.expert_update
+    monkeypatch.setattr(engine_mod, "gains_efficient", recording(engine_mod.gains_efficient))
+    monkeypatch.setattr(engine_mod, "gains_inefficient", recording(engine_mod.gains_inefficient))
+    monkeypatch.setattr(engine_mod, "expert_update", update)
+    return log

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import swapcal.engine as engine_mod
 from swapcal.adversaries import LogisticAdversary, default_logistic_weights, sample_label
 from swapcal.engine import (
     EfficientForecaster,
@@ -20,6 +19,7 @@ from swapcal.engine import (
 from swapcal.experts import ExpertState, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
 from swapcal.properties import eval_identification, marginal_identification, mean_property
+from helpers import record_fed_gains
 from test_experts import DenseReference
 
 
@@ -221,34 +221,6 @@ def make_efficient(N=4, T=64, dim=3, variant="linear", seed=0):
     cls = HypothesisClass.linear(dim) if variant == "linear" else generate_group_indicators(5, dim, seed=2)
     rng = np.random.default_rng(seed)
     return EfficientForecaster(grid, prop, cls, rng), grid, prop, cls
-
-
-def record_fed_gains(monkeypatch):
-    """Wrap the engine's gains functions and expert update; return the per-round log they fill.
-
-    Entry t holds the arguments of round t's gains call and the gains the
-    experts were fed as a full vector: the window passed to
-    ``expert_update``, zero elsewhere.
-    """
-    log = []
-
-    def recording(gains_fn):
-        def wrapped(*args):
-            gains = gains_fn(*args)
-            log.append({"args": args, "fed": np.zeros_like(gains)})
-            return gains
-
-        return wrapped
-
-    def update(state, gains, start):
-        log[-1]["fed"][start : start + gains.size] = gains
-        return real_update(state, gains, start)
-
-    real_update = engine_mod.expert_update
-    monkeypatch.setattr(engine_mod, "gains_efficient", recording(engine_mod.gains_efficient))
-    monkeypatch.setattr(engine_mod, "gains_inefficient", recording(engine_mod.gains_inefficient))
-    monkeypatch.setattr(engine_mod, "expert_update", update)
-    return log
 
 
 def drive(engine, rounds, adv_seed=1):

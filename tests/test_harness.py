@@ -30,7 +30,7 @@ from swapcal.properties import (
     parse_property,
     point_mass_law,
 )
-from test_engine import record_fed_gains
+from helpers import record_fed_gains
 
 
 def audit_round(
