@@ -33,7 +33,7 @@ for label, values in [
     ("sign change (worked example)", [-0.5, 0.25]),
 ]:
     dist = solve_distribution(PhiProfile(np.array(values)), grid)
-    pts = ", ".join(f"{p:g}" for p in dist.points)
+    pts = ", ".join(f"{j / grid.T:g}" for j in dist.support_idx)
     prs = ", ".join(f"{p:.4g}" for p in dist.probs)
     print(f"{label}: phi = {values} -> support ({pts}) with probabilities ({prs})")
 

@@ -1,13 +1,32 @@
-"""The two forecasting engines and their per-round machinery.
+"""The two forecasting engines and the round they share.
 
-Protocol per round: receive a context, build a piecewise-constant profile
-phi over the N prediction bins from the current expert weights, pick a
-randomization law supported on at most two adjacent points of the 1/T
-grid that makes the weighted audit phi * residual unprofitable for every
-outcome law, sample a raw prediction, snap it to the bin's grid point,
-observe the label, then feed expected gains back to the expert subroutine
-(and, in the oracle-efficient engine, outcomes to the two learners of the
-hit bin).
+Both engines run one round, over a table of expert values.  Each expert
+k stands for a (bin, sign s_k) pair and has a value h_k(x) in [-1, 1] on
+the round's context.  The round:
+
+  * reads the expert weights w and builds the piecewise-constant profile
+    phi_i = sum_{k in bin i} s_k w_k h_k(x) over the N prediction bins;
+  * picks a randomization law supported on at most two adjacent points of
+    the 1/T grid that makes the weighted audit phi * residual
+    unprofitable for every outcome law;
+  * samples a raw prediction, snaps it to its bin's grid point and
+    observes the label;
+  * records the round and feeds each expert its expected gain
+    g_k = s_k h_k(x) e_bin(k), where e_i is the expected identification
+    residual that the law puts in bin i.
+
+e_i is zero outside the at most two bins the law can land in, so only
+their experts gain, and the expert layer is fed that window alone.  The
+engines differ only in the values h: the oracle-efficient engine's are
+its learners' current predictions, one learner per (bin, sign), which it
+then feeds the hit bin's outcomes; the enumerating engine's are the
+members' values f(x), one expert per (bin, sign, member).
+
+The value table h is (N, 2M) in expert order: row i holds the M + experts
+of bin i, then its M - experts.  Expert (bin i, sign s, member m) is
+k = (2 * (i - 1) + s) * M + m with s = 0 for +1 and s = 1 for -1; M = 1
+for the oracle-efficient engine and M = |F| for the enumerating one.  So
+the experts of bins lo..hi are the one range [2 * (lo - 1) * M, 2 * hi * M).
 
 Each round appends a ``RoundRecord`` holding, besides the prediction and
 label, the randomization law and phi at the bins of its support points:
@@ -18,13 +37,6 @@ Bins are I_i = [(i-1)/N, i/N) for i < N and I_N = [(N-1)/N, 1]; the
 prediction point of bin i is z_i = i/N.  Raw predictions live on the grid
 {0, 1/T, ..., 1} and are tracked as integer indices so bin membership is
 exact.
-
-Expert indexing is frozen as: member innermost, then sign (+1 first,
-then -1), then bin.  Expert (bin i, sign s, member m) is
-k = (2 * (i - 1) + s) * |F| + m with s = 0 for +1 and s = 1 for -1; the
-oracle-efficient engine is the case |F| = 1, one expert per (bin, sign).
-So the experts of bins lo..hi are the one range
-[2 * (lo - 1) * |F|, 2 * hi * |F|) in both engines.
 """
 
 from __future__ import annotations
@@ -116,37 +128,39 @@ class TwoPointDistribution:
         if len(self.support_idx) == 2 and self.support_idx[1] - self.support_idx[0] != 1:
             raise ValueError("two-point support must use consecutive grid points")
 
-    @property
-    def points(self) -> tuple[float, ...]:
-        return tuple(j / self.horizon for j in self.support_idx)
+
+def _member_index(bins: int, member_count: int) -> np.ndarray:
+    """Index that gathers the member values f(x) into the enumerating engine's (N, 2|F|) value table."""
+    return np.tile(np.arange(member_count), (bins, 2))
+
+
+def phi_from_learners(weights: np.ndarray, h: np.ndarray) -> PhiProfile:
+    """Profile over the expert-value table h: v_i = sum_m w_{i,+,m} h_{i,+,m} - sum_m w_{i,-,m} h_{i,-,m}.
+
+    ``h`` is (N, 2M) in expert order, row i holding the M + experts of
+    bin i and then its M - experts; ``weights`` holds the N * 2M expert
+    weights in the same order.  Each sign is summed on its own, so a bin
+    whose two halves are equal gets exactly 0.
+    """
+    bins, width = h.shape
+    if weights.shape != (bins * width,) or width % 2:
+        raise ValueError("need an (N, 2M) value table and N * 2M weights")
+    halves = weights.reshape(bins, width) * h
+    if width > 2:  # sum each sign's members; with one member the reduction is a copy, skipped
+        halves = np.add.reduce(halves.reshape(bins, 2, width // 2), axis=2)
+    return PhiProfile(halves[:, 0] - halves[:, 1])
 
 
 def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=None) -> PhiProfile:
-    """Profile of the enumerating engine: v_i = sum_{s,f} w_{i,s,f} s f(x).
+    """Profile of the enumerating engine: ``phi_from_learners`` over the member values f(x).
 
     ``fvals``, when given, are the member values f(x) already computed.
     """
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
-    member_count = cls.size
     w = np.asarray(weights, dtype=np.float64)
-    if w.size % (2 * member_count) != 0:
-        raise ValueError("weight vector length must be 2 * N * |F|")
-    table = w.reshape(-1, 2, member_count)  # (bin, sign, member)
-    if fvals is None:
-        fvals = cls.member_values(x)
-    # a C-ordered (|F|, N) operand: an (N, |F|) one switches the BLAS kernel and moves phi in the last ulp
-    return PhiProfile(fvals @ np.subtract(table[:, 0].T, table[:, 1].T, order="C"))
-
-
-def phi_from_learners(weights: np.ndarray, q_values: np.ndarray) -> PhiProfile:
-    """Profile of the oracle-efficient engine: v_i = w_{i,+} q_{i,+} - w_{i,-} q_{i,-}."""
-    w = np.asarray(weights, dtype=np.float64)
-    q = np.asarray(q_values, dtype=np.float64)
-    if w.shape != q.shape or w.ndim != 1 or w.size % 2 != 0:
-        raise ValueError("need matching weight and q vectors of length 2N")
-    prod = (w * q).reshape(-1, 2)
-    return PhiProfile(prod[:, 0] - prod[:, 1])
+    fvals = cls.member_values(x) if fvals is None else np.asarray(fvals, dtype=np.float64)
+    return phi_from_learners(w, fvals[_member_index(w.size // (2 * cls.size), cls.size)])
 
 
 def solve_distribution(phi: PhiProfile, grid: GridConfig) -> TwoPointDistribution:
@@ -209,18 +223,31 @@ def sample_and_round(dist: TwoPointDistribution, grid: GridConfig, rng) -> tuple
     return j / grid.T, b, b / grid.N
 
 
-def _expected_bin_mass(dist: TwoPointDistribution, prop: Property, grid: GridConfig, y: float) -> tuple[int, list[float]]:
-    """Expected residual mass e_i = E_{p ~ dist}[1[p in I_i] ident(p, y)] on the support bins.
+def gains_efficient(
+    dist: TwoPointDistribution,
+    prop: Property,
+    h: np.ndarray,
+    y: float,
+    grid: GridConfig,
+) -> tuple[int, np.ndarray]:
+    """Expected gains s_k h_k(x) e_bin(k) of the support bins' experts, as (first expert, window).
 
-    Returns the first support bin lo and e over bins lo..hi; e is zero on
-    every other bin.
+    e_i = E_{p ~ dist}[1[p in I_i] ident(p, y)] is zero outside the
+    support bins lo..hi, and so is every other expert's gain.  The window
+    holds the gains of experts [first, first + window.size) in the
+    expert order of the (N, 2M) value table h: + experts gain h * e_i and
+    - experts -(h * e_i).
     """
+    if h.ndim != 2 or h.shape[0] != grid.N:
+        raise ValueError(f"need an (N, 2M) value table with N={grid.N}, got shape {h.shape}")
     bins = [grid.bin_of_index(j) for j in dist.support_idx]
     lo = bins[0]
     e = [0.0] * (bins[-1] - lo + 1)
     for b, j, pr in zip(bins, dist.support_idx, dist.probs):
         e[b - lo] += pr * eval_identification(prop, j / grid.T, y)
-    return lo, e
+    rows = h[lo - 1 : bins[-1]].reshape(-1, 2, h.shape[1] // 2)  # (bin, sign, member)
+    window = rows * np.array([(m, -m) for m in e])[:, :, None]
+    return (lo - 1) * h.shape[1], window.ravel()
 
 
 def gains_inefficient(
@@ -231,38 +258,15 @@ def gains_inefficient(
     y: float,
     grid: GridConfig,
     fvals=None,
-) -> np.ndarray:
-    """Expected gains over (bin, sign, member): s * f(x) * e_bin.
+) -> tuple[int, np.ndarray]:
+    """Expected gains of the enumerating engine: ``gains_efficient`` over the member values f(x).
 
     ``fvals``, when given, are the member values f(x) already computed.
     """
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
-    lo, e = _expected_bin_mass(dist, prop, grid, y)
-    if fvals is None:
-        fvals = cls.member_values(x)
-    g = np.zeros((grid.N, 2, cls.size))
-    g[lo - 1 : lo - 1 + len(e)] = np.multiply.outer([(m, -m) for m in e], fvals)
-    return g.reshape(-1)
-
-
-def gains_efficient(
-    dist: TwoPointDistribution,
-    prop: Property,
-    q_values: np.ndarray,
-    y: float,
-    grid: GridConfig,
-) -> np.ndarray:
-    """Expected gains over (bin, sign): s * q_{bin,s}(x) * e_bin."""
-    q = np.asarray(q_values, dtype=np.float64)
-    if q.size != 2 * grid.N:
-        raise ValueError("need 2N learner values")
-    lo, e = _expected_bin_mass(dist, prop, grid, y)
-    g = np.zeros(2 * grid.N)
-    for i, mass in enumerate(e, start=lo - 1):
-        g[2 * i] = q[2 * i] * mass
-        g[2 * i + 1] = -(q[2 * i + 1] * mass)
-    return g
+    fvals = cls.member_values(x) if fvals is None else np.asarray(fvals, dtype=np.float64)
+    return gains_efficient(dist, prop, fvals[_member_index(grid.N, cls.size)], y, grid)
 
 
 @dataclass
@@ -285,7 +289,7 @@ class RoundRecord:
 
 
 class _ForecasterBase:
-    """Shared round bookkeeping; concrete engines fill in the expert layout.
+    """The round both engines run; each engine supplies its expert-value table.
 
     ``phi`` holds the latest round's profile values; no history is kept.
     """
@@ -301,35 +305,35 @@ class _ForecasterBase:
     def round(self) -> int:
         return len(self.records)
 
-    def _check_capacity(self) -> None:
-        if self.round >= self.grid.T:
-            raise RuntimeError(f"horizon of {self.grid.T} rounds already exhausted")
-
-    def _finish_round(self, x: Context, phi: PhiProfile, dist: TwoPointDistribution, y: float):
-        """Record the round; returns it with the 1-based bins of its lowest and highest support points."""
-        p_tilde, b, p = self._pending
-        y = float(y)
+    def _round(self, x: Context, h: np.ndarray, outcome_fn) -> RoundRecord:
+        """Play one round over the (N, 2M) expert-value table h and feed the experts its gains."""
+        grid = self.grid
+        if self.round >= grid.T:
+            raise RuntimeError(f"horizon of {grid.T} rounds already exhausted")
+        phi = phi_from_learners(expert_weights(self.experts), h)
+        dist = solve_distribution(phi, grid)
+        p_tilde, b, p = sample_and_round(dist, grid, self.rng)
+        y = float(outcome_fn())
         if not 0.0 <= y <= 1.0:
             raise ValueError(f"label must lie in [0, 1], got {y}")
-        grid = self.grid
-        lo, hi = grid.bin_of_index(dist.support_idx[0]), grid.bin_of_index(dist.support_idx[-1])
         values = self.phi = phi.values
-        rec = RoundRecord(self.round + 1, x, p_tilde, b, p, y, dist, values[lo - 1], values[hi - 1])
+        support = dist.support_idx
+        phi_lo = values[grid.bin_of_index(support[0]) - 1]
+        phi_hi = values[grid.bin_of_index(support[-1]) - 1]
+        rec = RoundRecord(self.round + 1, x, p_tilde, b, p, y, dist, phi_lo, phi_hi)
         self.records.append(rec)
-        return rec, lo, hi
-
-    def _feed_experts(self, gains: np.ndarray, lo: int, hi: int) -> None:
-        """Update only the experts of the support bins lo..hi, the rest having gained 0."""
-        per_bin = gains.size // self.grid.N  # 2 |F| experts per bin
-        expert_update(self.experts, gains[per_bin * (lo - 1) : per_bin * hi], per_bin * (lo - 1))
+        start, window = gains_efficient(dist, self.prop, h, y, grid)
+        expert_update(self.experts, window, start)
+        return rec
 
 
 class EfficientForecaster(_ForecasterBase):
     """Oracle-efficient engine: 2N experts, one agnostic learner per (bin, sign).
 
-    Each round the learners' current predictors are read without advancing
-    them; after the label arrives, only the two learners of the hit bin
-    observe (with outcomes +ident(p, y) and -ident(p, y) respectively).
+    The experts' values are the learners' current predictions (M = 1),
+    read without advancing them; after the label arrives, only the two
+    learners of the hit bin observe (with outcomes +ident(p, y) and
+    -ident(p, y) respectively).
     """
 
     def __init__(self, grid: GridConfig, prop: Property, cls: HypothesisClass, rng) -> None:
@@ -344,24 +348,14 @@ class EfficientForecaster(_ForecasterBase):
 
     def step(self, x: Context, outcome_fn) -> RoundRecord:
         """Run one round; ``outcome_fn()`` reveals the label after sampling."""
-        self._check_capacity()
-        grid = self.grid
-        weights = expert_weights(self.experts)
         h = self.cls.member_values(x) if self.cls.variant == "finite" else x.features
-        q = self.bank.predict_all(h)
-        phi = phi_from_learners(weights, q)
-        dist = solve_distribution(phi, grid)
-        self._pending = sample_and_round(dist, grid, self.rng)
-        y = outcome_fn()
-        rec, lo, hi = self._finish_round(x, phi, dist, y)
-        self._feed_experts(gains_efficient(dist, self.prop, q, rec.y, grid), lo, hi)
-        outcome = eval_identification(self.prop, rec.p, rec.y)
-        self.bank.observe_pair(2 * (rec.bin - 1), h, outcome)
+        rec = self._round(x, self.bank.predict_all(h).reshape(-1, 2), outcome_fn)
+        self.bank.observe_pair(2 * (rec.bin - 1), h, eval_identification(self.prop, rec.p, rec.y))
         return rec
 
 
 class InefficientForecaster(_ForecasterBase):
-    """Reference engine that enumerates a finite class: 2N|F| experts."""
+    """Reference engine that enumerates a finite class: 2N|F| experts valued f(x) (M = |F|)."""
 
     def __init__(self, grid: GridConfig, prop: Property, cls: HypothesisClass, rng) -> None:
         if cls.variant != "finite":
@@ -369,17 +363,8 @@ class InefficientForecaster(_ForecasterBase):
         super().__init__(grid, prop, rng)
         self.cls = cls
         self.experts = expert_init(2 * grid.N * cls.size, grid.T)
+        self._table_index = _member_index(grid.N, cls.size)
 
     def step(self, x: Context, outcome_fn) -> RoundRecord:
         """Run one round; ``outcome_fn()`` reveals the label after sampling."""
-        self._check_capacity()
-        grid = self.grid
-        weights = expert_weights(self.experts)
-        fvals = self.cls.member_values(x)
-        phi = phi_from_class(weights, self.cls, x, fvals)
-        dist = solve_distribution(phi, grid)
-        self._pending = sample_and_round(dist, grid, self.rng)
-        y = outcome_fn()
-        rec, lo, hi = self._finish_round(x, phi, dist, y)
-        self._feed_experts(gains_inefficient(dist, self.prop, self.cls, x, rec.y, grid, fvals), lo, hi)
-        return rec
+        return self._round(x, self.cls.member_values(x)[self._table_index], outcome_fn)

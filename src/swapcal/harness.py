@@ -148,8 +148,10 @@ class ExperimentConfig:
             raise ConfigError(f"T/r/seed: {exc}") from None
         if T < 1:
             raise ConfigError("T: must be a positive integer")
-        if r < 1.0:
-            raise ConfigError("r: must be at least 1")
+        if not (math.isfinite(r) and r >= 1.0):
+            raise ConfigError(f"r: must be a finite number at least 1, got {r}")
+        if seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {seed}")
         N = raw.get("N")
         if N is not None:
             N = int(N)
@@ -240,24 +242,13 @@ def run(config: ExperimentConfig, out_dir=None):
     wall = time.perf_counter() - start
     transcript = Transcript.from_records(grid, engine.records)
     agg = aggregate(transcript, prop, cls_obj)
-    metrics_row = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "T": config.T,
-        "N": grid.N,
-        "r": config.r,
-        "cal": cal(transcript, prop, config.r),
-        "mcal": mcal(agg, config.r),
-        "smcal": smcal(agg, config.r),
-        "mcal_exact": mcal_is_exact(cls_obj, config.r),
-    }
     result = RunResult(
         config=config,
         transcript=transcript,
         laws=laws,
         phi_rows=phi_rows,
         rho=adversary.rho(prop),
-        metrics=metrics_row,
+        metrics=_metrics_row(config, transcript, prop, cls_obj, agg, config.r),
         wall_time=wall,
     )
     if out_dir is not None:
@@ -265,22 +256,32 @@ def run(config: ExperimentConfig, out_dir=None):
     return result
 
 
+def _metrics_row(config: ExperimentConfig, transcript: Transcript, prop, cls_obj, agg, r: float) -> dict:
+    """One metrics.csv row: the run's identity and its error functionals at order r."""
+    return {
+        "config_hash": config.config_hash(),
+        "seed": config.seed,
+        "T": config.T,
+        "N": transcript.grid.N,
+        "r": r,
+        "cal": cal(transcript, prop, r),
+        "mcal": mcal(agg, r),
+        "smcal": smcal(agg, r),
+        "mcal_exact": mcal_is_exact(cls_obj, r),
+    }
+
+
 def _fmt(x) -> str:
-    if type(x) is float:  # the common case first; bool is not a float
-        return repr(x)
-    if isinstance(x, (bool, np.bool_)):
+    """A CSV cell; rows hold Python scalars (from ``tolist()``), so str is repr for floats."""
+    if x is True or x is False:
         return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float | np.floating):
-        return repr(float(x))
     return str(x)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -652,21 +653,7 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     rounds = read_transcript(run_dir / "transcript.csv", grid)
     transcript = Transcript.from_columns(grid, rounds, _read_contexts(run_dir / "contexts.csv", config.T))
     agg = aggregate(transcript, prop, cls_obj)
-    out = []
-    for r in r_values:
-        out.append(
-            {
-                "config_hash": config.config_hash(),
-                "seed": config.seed,
-                "T": config.T,
-                "N": grid.N,
-                "r": r,
-                "cal": cal(transcript, prop, r),
-                "mcal": mcal(agg, r),
-                "smcal": smcal(agg, r),
-                "mcal_exact": mcal_is_exact(cls_obj, r),
-            }
-        )
+    out = [_metrics_row(config, transcript, prop, cls_obj, agg, r) for r in r_values]
     header = list(out[0].keys())
     _write_csv(run_dir / "metrics.csv", header, (tuple(row[k] for k in header) for row in out))
     if per_bin:

@@ -140,8 +140,8 @@ def aggregate(transcript: Transcript, prop: Property, cls: HypothesisClass) -> B
 
 def _check_order(r: float) -> float:
     r = float(r)
-    if r < 1.0:
-        raise ValueError("the error order r must be at least 1")
+    if not (math.isfinite(r) and r >= 1.0):
+        raise ValueError(f"the error order r must be a finite number at least 1, got {r}")
     return r
 
 

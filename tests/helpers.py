@@ -41,8 +41,16 @@ class Negation(TestFunction):
         return f"Negation({self.inner!r})"
 
 
+def dense_gains(gains, K):
+    """The full length-K gain vector of a (first expert, window) pair: the window, zero elsewhere."""
+    start, window = gains
+    full = np.zeros(K)
+    full[start : start + window.size] = window
+    return full
+
+
 def record_fed_gains(monkeypatch):
-    """Wrap the engine's gains functions and expert update; return the per-round log they fill.
+    """Wrap the engine's gains function and expert update; return the per-round log they fill.
 
     Entry t holds the arguments of round t's gains call and the gains the
     experts were fed as a full vector: the window passed to
@@ -50,20 +58,16 @@ def record_fed_gains(monkeypatch):
     """
     log = []
 
-    def recording(gains_fn):
-        def wrapped(*args):
-            gains = gains_fn(*args)
-            log.append({"args": args, "fed": np.zeros_like(gains)})
-            return gains
-
-        return wrapped
+    def recording(*args):
+        h, grid = args[2], args[4]
+        log.append({"args": args, "fed": np.zeros(grid.N * h.shape[1])})
+        return real_gains(*args)
 
     def update(state, gains, start):
         log[-1]["fed"][start : start + gains.size] = gains
         return real_update(state, gains, start)
 
-    real_update = engine_mod.expert_update
-    monkeypatch.setattr(engine_mod, "gains_efficient", recording(engine_mod.gains_efficient))
-    monkeypatch.setattr(engine_mod, "gains_inefficient", recording(engine_mod.gains_inefficient))
+    real_gains, real_update = engine_mod.gains_efficient, engine_mod.expert_update
+    monkeypatch.setattr(engine_mod, "gains_efficient", recording)
     monkeypatch.setattr(engine_mod, "expert_update", update)
     return log

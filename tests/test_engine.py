@@ -19,7 +19,7 @@ from swapcal.engine import (
 from swapcal.experts import ExpertState, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
 from swapcal.properties import eval_identification, marginal_identification, mean_property
-from helpers import record_fed_gains
+from helpers import dense_gains, record_fed_gains
 from test_experts import DenseReference
 
 
@@ -88,16 +88,17 @@ def test_phi_from_class_examples():
 
 
 def test_phi_from_learners_examples():
+    # value tables of the efficient engine: one (+, -) learner pair per bin row
     np.testing.assert_allclose(
-        phi_from_learners(np.full(4, 0.25), np.zeros(4)).values, [0.0, 0.0]
+        phi_from_learners(np.full(4, 0.25), np.zeros((2, 2))).values, [0.0, 0.0]
     )
     np.testing.assert_allclose(
-        phi_from_learners(np.array([0.5, 0.5]), np.array([1.0, 1.0])).values, [0.0]
+        phi_from_learners(np.array([0.5, 0.5]), np.array([[1.0, 1.0]])).values, [0.0]
     )
-    phi = phi_from_learners(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0, 0.0]))
+    phi = phi_from_learners(np.array([1.0, 0.0, 0.0, 0.0]), np.array([[0.5, 0.0], [0.0, 0.0]]))
     np.testing.assert_allclose(phi.values, [0.5, 0.0])
     with pytest.raises(ValueError):
-        phi_from_learners(np.full(4, 0.25), np.zeros(3))
+        phi_from_learners(np.full(4, 0.25), np.zeros((1, 3)))
 
 
 def test_solve_distribution_point_mass_branches():
@@ -116,7 +117,7 @@ def test_solve_distribution_two_point_worked_example():
     grid = GridConfig(2, 10)
     dist = solve_distribution(PhiProfile(np.array([-0.5, 0.25])), grid)
     assert dist.support_idx == (4, 5)
-    assert dist.points == (0.4, 0.5)
+    assert tuple(j / grid.T for j in dist.support_idx) == (0.4, 0.5)
     assert dist.probs[0] == pytest.approx(1.0 / 3.0)
     assert dist.probs[1] == pytest.approx(2.0 / 3.0)
 
@@ -179,7 +180,7 @@ def test_gains_inefficient_worked_example():
     grid = GridConfig(2, 10)
     dist = TwoPointDistribution((4, 5), (1.0 / 3.0, 2.0 / 3.0), 10)
     cls = HypothesisClass.finite([ConstantOne()])
-    g = gains_inefficient(dist, mean_property(), cls, Context([0.0]), 0.0, grid)
+    g = dense_gains(gains_inefficient(dist, mean_property(), cls, Context([0.0]), 0.0, grid), 4)
     # layout: (f, i, sigma) with sigma innermost
     assert g[0] == pytest.approx(2.0 / 15.0)   # (f, 1, +1)
     assert g[1] == pytest.approx(-2.0 / 15.0)  # sigma flip negates
@@ -192,7 +193,7 @@ def test_gains_sigma_flip_and_disjoint_support():
     dist = TwoPointDistribution((0,), (1.0,), 16)  # all mass in bin 1
     cls = generate_group_indicators(3, 2, seed=0)
     x = Context([0.3, -0.2])
-    g = gains_inefficient(dist, mean_property(), cls, x, 1.0, grid).reshape(4, 2, 3)  # (bin, sign, member)
+    g = dense_gains(gains_inefficient(dist, mean_property(), cls, x, 1.0, grid), 24).reshape(4, 2, 3)  # (bin, sign, member)
     np.testing.assert_allclose(g[:, 1, :], -g[:, 0, :], atol=0)
     np.testing.assert_allclose(g[1:, :, :], 0.0, atol=0)  # bins 2..4 untouched
 
@@ -200,19 +201,21 @@ def test_gains_sigma_flip_and_disjoint_support():
 def test_gains_efficient_examples():
     grid = GridConfig(2, 10)
     dist = TwoPointDistribution((4, 5), (1.0 / 3.0, 2.0 / 3.0), 10)
-    q = np.zeros(4)
-    np.testing.assert_allclose(gains_efficient(dist, mean_property(), q, 0.0, grid), 0.0)
-    q = np.array([1.0, 0.0, 0.0, 0.0])  # q_{1,+1} = 1
-    g = gains_efficient(dist, mean_property(), q, 0.0, grid)
+    q = np.zeros((2, 2))
+    np.testing.assert_allclose(dense_gains(gains_efficient(dist, mean_property(), q, 0.0, grid), 4), 0.0)
+    q = np.array([[1.0, 0.0], [0.0, 0.0]])  # q_{1,+1} = 1
+    g = dense_gains(gains_efficient(dist, mean_property(), q, 0.0, grid), 4)
     assert g[0] == pytest.approx(2.0 / 15.0)
     # entries bounded by the distribution mass on the bin
     rng = np.random.default_rng(1)
     for _ in range(100):
-        q = rng.uniform(-1, 1, 4)
+        q = rng.uniform(-1, 1, (2, 2))
         y = float(rng.random())
-        g = gains_efficient(dist, mean_property(), q, y, grid)
+        g = dense_gains(gains_efficient(dist, mean_property(), q, y, grid), 4)
         assert abs(g[0]) <= 1.0 / 3.0 + 1e-12 and abs(g[1]) <= 1.0 / 3.0 + 1e-12
         assert abs(g[2]) <= 2.0 / 3.0 + 1e-12 and abs(g[3]) <= 2.0 / 3.0 + 1e-12
+    with pytest.raises(ValueError):
+        gains_efficient(dist, mean_property(), np.zeros(4), 0.0, grid)  # not an (N, 2M) table
 
 
 def make_efficient(N=4, T=64, dim=3, variant="linear", seed=0):
@@ -308,7 +311,7 @@ def test_fed_gains_match_independent_recomputation_efficient(monkeypatch):
     drive(engine, 120)
     assert len(fed_log) == 120
     for rec, entry in zip(engine.records, fed_log):
-        fed, q = entry["fed"], entry["args"][2]
+        fed, q = entry["fed"], entry["args"][2].ravel()
         # independent oracle: explicit loop over (bin, sign) pairs
         for i in range(1, grid.N + 1):
             mass = 0.0

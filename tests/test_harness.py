@@ -30,7 +30,7 @@ from swapcal.properties import (
     parse_property,
     point_mass_law,
 )
-from helpers import record_fed_gains
+from helpers import dense_gains, record_fed_gains
 
 
 def audit_round(
@@ -91,6 +91,11 @@ def test_config_validation_errors():
         small_config(property="quantile:q=0.5")  # step-CDF labels for a quantile
     with pytest.raises(ConfigError, match="engine"):
         small_config(engine="inefficient", hypothesis_class="linear:dim=3")
+    for r in (0.5, "nan", "inf", float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="r: must be a finite number at least 1"):
+            small_config(r=r)
+    with pytest.raises(ConfigError, match="seed: must be a non-negative integer"):
+        small_config(seed=-3)
 
 
 def test_default_bin_count_from_config():
@@ -296,7 +301,7 @@ def test_fed_gain_replay_matches_engine_log(monkeypatch):
             dist = TwoPointDistribution((j_lo,), (1.0,), grid.T)
         else:
             dist = TwoPointDistribution((j_lo, j_hi), (prob_lo, 1.0 - prob_lo), grid.T)
-        replayed = gains_efficient(dist, prop, entry["args"][2], float(tr.y[t]), grid)
+        replayed = dense_gains(gains_efficient(dist, prop, entry["args"][2], float(tr.y[t]), grid), entry["fed"].size)
         np.testing.assert_allclose(replayed, entry["fed"], rtol=0, atol=1e-12)
 
 
@@ -402,6 +407,9 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert cli_main(["bogus-subcommand"]) == 1
     capsys.readouterr()
+    cfg_path = write_config(tmp_path)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", "-3"]) == 1
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def _edit_row(path, t, **values):
@@ -579,6 +587,10 @@ def test_cli_metrics_rejects_an_empty_order_list(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["metrics", "--run", str(out_dir), "--r", ","]) == 2
     assert "order" in capsys.readouterr().err
+    for orders in ("nan", "inf", "2,nan", "0.5"):
+        assert cli_main(["metrics", "--run", str(out_dir), "--r", orders]) == 2, orders
+        captured = capsys.readouterr()
+        assert "metrics:" not in captured.out and "order r must be a finite number at least 1" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,23 +1,32 @@
-"""Engine-mutant gate: faults in learning must push smcal_2 out of its envelope.
+"""Engine-mutant gate: faults in learning must be caught by a fast check.
 
 The per-round audit holds for every phi, so it cannot see a fault in how
-the experts learn.  Each mutant below is a named fault patched into
-``swapcal.engine``; the gate runs it on fixed seeds and checks that the
-swap error leaves the envelope the correct program stays in.
+the experts and learners learn.  Each mutant below is a named fault
+patched into the library.  Most leave the envelope of smcal_2 that the
+correct program stays in on fixed seeds.  The two that stay inside it are
+each run against the exact unit check that catches them.
 """
 
-import numpy as np
 import pytest
 
 import swapcal.engine as engine_mod
+import test_engine
+import test_experts
+from swapcal.experts import ExpertState
 from swapcal.harness import ExperimentConfig, audit_result, run
+from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
 
 SEEDS = (3, 4, 5)
 # Correct program at T = 2048 (mean, finite:groups=8,dim=4, logistic, seeds
-# 3-5): smcal_2 7.16-9.36 on both engines.  Every mutant scored 29.7 or more
-# (lowest: no expert update, efficient engine).  The envelope sits about 1.6x
-# above the largest correct value and 2x below the smallest mutant.
+# 3-5): smcal_2 7.16-9.36 on both engines.  Each envelope mutant scores
+# 17.6 or more on every seed (lowest: learners never fed).  The envelope
+# sits about 1.6x above the largest correct value.
 SMCAL_ENVELOPE = 15.0
+
+real_phi = engine_mod.phi_from_learners
+real_gains = engine_mod.gains_efficient
+real_state_init = ExpertState.__init__
+BANKS = (FiniteLearnerBank, LinearLearnerBank)
 
 
 def config(engine, seed):
@@ -39,25 +48,53 @@ def no_expert_update(state, gains, start=None):
     return state
 
 
-def negated(gains_fn):
-    return lambda *args, **kwargs: -gains_fn(*args, **kwargs)
+def gains_negated(*args):
+    start, window = real_gains(*args)
+    return start, -window
 
 
-def phi_reading_member_major(weights, cls, x, fvals=None):
-    """Phi of experts numbered (member, bin, sign), while gains write (bin, sign, member)."""
-    table = np.asarray(weights).reshape(cls.size, -1, 2)
-    if fvals is None:
-        fvals = cls.member_values(x)
-    return engine_mod.PhiProfile(fvals @ (table[:, :, 0] - table[:, :, 1]))
+def phi_reading_member_major(weights, h):
+    """Phi of the weights read as (member, bin, sign), while gains write (bin, sign, member).
+
+    With one expert per (bin, sign) the two orders coincide, so only the
+    enumerating engine is affected.
+    """
+    bins, width = h.shape
+    return real_phi(weights.reshape(width // 2, bins, 2).transpose(1, 2, 0).ravel(), h)
 
 
+def window_one_bin_up(dist, prop, h, y, grid):
+    """The support bins' gains go to the experts one bin up, or one bin down when the window ends at bin N."""
+    start, window = real_gains(dist, prop, h, y, grid)
+    width = h.shape[1]
+    shift = width if start + window.size + width <= grid.N * width else -width
+    return start + shift, window
+
+
+def learner_never_fed(self, row, h, kappa):
+    pass
+
+
+def feeding_next_bin(real):
+    """The hit bin's outcomes go to the learner pair of the next bin (bin 1 after bin N)."""
+    return lambda self, row, h, kappa: real(self, (row + 2) % self.rows, h, kappa)
+
+
+def without_eta_squared(self, horizon, log_weights):
+    """Expert weights updated by exp(eta * g), without the -eta**2 * g**2 correction."""
+    real_state_init(self, horizon, log_weights)
+    self._rate_pair[:, 1] = 0.0
+
+
+# mutant: [(owner, attribute, fault)]
 MUTANTS = {
-    "no_expert_update": {"expert_update": no_expert_update},
-    "gains_negated": {
-        "gains_efficient": negated(engine_mod.gains_efficient),
-        "gains_inefficient": negated(engine_mod.gains_inefficient),
-    },
-    "phi_reads_member_major": {"phi_from_class": phi_reading_member_major},
+    "no_expert_update": [(engine_mod, "expert_update", no_expert_update)],
+    "gains_negated": [(engine_mod, "gains_efficient", gains_negated)],
+    "phi_reads_member_major": [(engine_mod, "phi_from_learners", phi_reading_member_major)],
+    "learners_never_fed": [(bank, "observe_pair", learner_never_fed) for bank in BANKS],
+    "window_one_bin_up": [(engine_mod, "gains_efficient", window_one_bin_up)],
+    "learner_fed_wrong_bin": [(bank, "observe_pair", feeding_next_bin(bank.observe_pair)) for bank in BANKS],
+    "eta_squared_dropped": [(ExpertState, "__init__", without_eta_squared)],
 }
 CASES = [
     ("no_expert_update", "efficient"),
@@ -65,7 +102,25 @@ CASES = [
     ("gains_negated", "efficient"),
     ("gains_negated", "inefficient"),
     ("phi_reads_member_major", "inefficient"),
+    ("learners_never_fed", "efficient"),
+    ("window_one_bin_up", "efficient"),
+    ("window_one_bin_up", "inefficient"),
 ]
+# Faults that stay inside the envelope (smcal_2 on seeds 3-5 in brackets),
+# each with the check that catches it:
+# - learner_fed_wrong_bin (efficient engine 9.86, 17.47, 12.31): the
+#   per-row learner counts;
+# - eta_squared_dropped (both engines 8.56-10.09): the windowed update
+#   against the dense reference.
+CAUGHT_BY = {
+    "learner_fed_wrong_bin": test_engine.test_learner_bookkeeping_counts_match_bins,
+    "eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
+}
+
+
+def install(monkeypatch, mutant):
+    for owner, attr, fault in MUTANTS[mutant]:
+        monkeypatch.setattr(owner, attr, fault)
 
 
 def smcal_by_seed(engine):
@@ -84,7 +139,13 @@ def test_correct_program_stays_in_envelope(engine):
 
 @pytest.mark.parametrize("mutant,engine", CASES)
 def test_mutant_leaves_envelope(mutant, engine, monkeypatch):
-    for name, fault in MUTANTS[mutant].items():
-        monkeypatch.setattr(engine_mod, name, fault)
+    install(monkeypatch, mutant)
     scores = smcal_by_seed(engine)
     assert min(scores) > SMCAL_ENVELOPE, f"{mutant} on the {engine} engine scored {scores}"
+
+
+@pytest.mark.parametrize("mutant", list(CAUGHT_BY))
+def test_mutant_inside_envelope_fails_its_check(mutant, monkeypatch):
+    install(monkeypatch, mutant)
+    with pytest.raises(AssertionError):
+        CAUGHT_BY[mutant]()

@@ -73,13 +73,13 @@ PINNED = {
         14.761233826682144,
     ),
     ("reference_wide", 1): (
-        "0d77cf6000d1d8d519ceff57f61050d3a2fd42a7aadfb966197fedbfc8f9fd4b",
-        "b51fb0346e751843aa04fea959a04345f594fc6337150d2adb1e2ca3b3d2bf58",
+        "f31340e9235c2602caf0d40b5d1546fc1d459361293e0274e1fcb8a6449437c4",
+        "5df206111dd0acb87996312f897cb7b5cce30978846bb03712220e760bf279b2",
         18.329571645096447,
     ),
     ("reference_wide", 7919): (
-        "a9a0239239e063bcfad2d98ce690c7298d3c9b0b6492152f40b8cdd64084b855",
-        "ce47781d092ecdf4483ed86b805c41b4ed9c72ed323c96132929aef2004514b2",
+        "0b46da2e61fe04f084ad65e850be66d5a6b3cc84106a108d73061229392a20de",
+        "c1b317f46fc3e44c483d039a4d3799329c86d775159737a70eb219c0d37a0b79",
         16.963759308822485,
     ),
     ("persisted_pipeline", 1): (
