@@ -98,7 +98,7 @@ class PhiProfile:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("phi profile must be a nonempty vector")
-        top = float(np.max(np.abs(v)))
+        top = float(np.maximum.reduce(np.abs(v)))
         if not top <= 1.0 + _PHI_TOL:  # NaN fails the comparison too
             raise ValueError("phi values must lie in [-1, 1]")
         object.__setattr__(self, "values", v)
@@ -308,7 +308,8 @@ class _ForecasterBase:
     def _round(self, x: Context, h: np.ndarray, outcome_fn) -> RoundRecord:
         """Play one round over the (N, 2M) expert-value table h and feed the experts its gains."""
         grid = self.grid
-        if self.round >= grid.T:
+        t = len(self.records)
+        if t >= grid.T:
             raise RuntimeError(f"horizon of {grid.T} rounds already exhausted")
         phi = phi_from_learners(expert_weights(self.experts), h)
         dist = solve_distribution(phi, grid)
@@ -320,7 +321,7 @@ class _ForecasterBase:
         support = dist.support_idx
         phi_lo = values[grid.bin_of_index(support[0]) - 1]
         phi_hi = values[grid.bin_of_index(support[-1]) - 1]
-        rec = RoundRecord(self.round + 1, x, p_tilde, b, p, y, dist, phi_lo, phi_hi)
+        rec = RoundRecord(t + 1, x, p_tilde, b, p, y, dist, phi_lo, phi_hi)
         self.records.append(rec)
         start, window = gains_efficient(dist, self.prop, h, y, grid)
         expert_update(self.experts, window, start)
