@@ -18,6 +18,7 @@ import numpy as np
 from swapcal import (
     GridConfig,
     PhiProfile,
+    TwoPointDistribution,
     bernoulli_law,
     marginal_identification,
     mean_property,
@@ -32,7 +33,7 @@ for label, values in [
     ("all-negative profile", [-0.2, -0.1]),
     ("sign change (worked example)", [-0.5, 0.25]),
 ]:
-    dist = solve_distribution(PhiProfile(np.array(values)), grid)
+    dist = TwoPointDistribution.from_law(solve_distribution(np.array(values), grid), grid.T)
     pts = ", ".join(f"{j / grid.T:g}" for j in dist.support_idx)
     prs = ", ".join(f"{p:.4g}" for p in dist.probs)
     print(f"{label}: phi = {values} -> support ({pts}) with probabilities ({prs})")
@@ -40,7 +41,7 @@ for label, values in [
 print()
 print("hedging audit on the worked example against a fair coin:")
 phi = PhiProfile(np.array([-0.5, 0.25]))
-dist = solve_distribution(phi, grid)
+dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), grid.T)
 law = bernoulli_law(0.5)
 value = sum(
     pr * phi.at_index(j, grid) * marginal_identification(prop, j / grid.T, law)
@@ -55,7 +56,7 @@ worst = -np.inf
 big = GridConfig(N=16, T=400)
 for _ in range(200):
     phi = PhiProfile(rng.uniform(-1, 1, big.N))
-    dist = solve_distribution(phi, big)
+    dist = TwoPointDistribution.from_law(solve_distribution(phi.values, big), big.T)
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
         law = bernoulli_law(mu)
         value = sum(

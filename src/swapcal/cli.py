@@ -102,7 +102,7 @@ def main(argv=None) -> int:
             for row in rows:
                 print(
                     f"metrics: r={row['r']:g} cal={row['cal']:.6g} mcal={row['mcal']:.6g} "
-                    f"smcal={row['smcal']:.6g} exact={row['mcal_exact']}"
+                    f"smcal={row['smcal']:.6g} exact={bool(row['mcal_exact'])}"
                 )
             return 0
     except ConfigError as exc:

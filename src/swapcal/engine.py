@@ -22,16 +22,23 @@ its learners' current predictions, one learner per (bin, sign), which it
 then feeds the hit bin's outcomes; the enumerating engine's are the
 members' values f(x), one expert per (bin, sign, member).
 
-The value table h is (N, 2M) in expert order: row i holds the M + experts
-of bin i, then its M - experts.  Expert (bin i, sign s, member m) is
-k = (2 * (i - 1) + s) * M + m with s = 0 for +1 and s = 1 for -1; M = 1
-for the oracle-efficient engine and M = |F| for the enumerating one.  So
-the experts of bins lo..hi are the one range [2 * (lo - 1) * M, 2 * hi * M).
+The expert weights are laid out as (N, 2, M): bin i, sign s (0 for +1,
+1 for -1), member m, so expert (bin i, sign s, member m) is
+k = (2 * (i - 1) + s) * M + m, and the experts of bins lo..hi are the one
+range [2 * (lo - 1) * M, 2 * hi * M).  The values h broadcast against that
+layout: the oracle-efficient engine passes its learners' predictions as an
+(N, 2, 1) table (M = 1); the enumerating engine passes the member values
+f(x), shape (M,) with M = |F|, which every bin and sign share.
 
-Each round appends a ``RoundRecord`` holding, besides the prediction and
-label, the randomization law and phi at the bins of its support points:
-all of phi that the round's audit reads.  The engine keeps only the latest
-full profile (``phi``), no history.
+A round builds no per-round object.  Its profile is a plain (N,) array,
+its law the tuple (j_lo, j_hi, p_lo, p_hi) that ``solve_distribution``
+checks and returns, and its outcome is written into the engine's
+``RoundColumns``: the columns of ``metrics.Transcript``, preallocated for
+the horizon, which hold phi at the bins of the support points (all of phi
+that the round's audit reads).  The engine keeps only the latest full
+profile (``phi``), no history.  ``PhiProfile``, ``TwoPointDistribution``
+and ``RoundRecord`` are the checked objects of the same values, for
+tests, demos and slow references.
 
 Bins are I_i = [(i-1)/N, i/N) for i < N and I_N = [(N-1)/N, 1]; the
 prediction point of bin i is z_i = i/N.  Raw predictions live on the grid
@@ -53,6 +60,10 @@ from .properties import Property, eval_identification
 
 _PROB_TOL = 1e-12
 _PHI_TOL = 1e-9
+_SIGNS = np.array([[1.0], [-1.0]])  # the + and - experts of a bin, against its member axis
+
+# the columns a round writes, named as the fields of metrics.Transcript
+ROUND_FIELDS = ("p_tilde", "bins", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi")
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,7 @@ class PhiProfile:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("phi profile must be a nonempty vector")
-        top = float(np.maximum.reduce(np.abs(v)))
-        if not top <= 1.0 + _PHI_TOL:  # NaN fails the comparison too
+        if not np.maximum.reduce(np.abs(v)) <= 1.0 + _PHI_TOL:  # NaN fails the comparison too
             raise ValueError("phi values must lie in [-1, 1]")
         object.__setattr__(self, "values", v)
 
@@ -128,43 +138,53 @@ class TwoPointDistribution:
         if len(self.support_idx) == 2 and self.support_idx[1] - self.support_idx[0] != 1:
             raise ValueError("two-point support must use consecutive grid points")
 
+    @classmethod
+    def from_law(cls, law: tuple[int, int, float, float], horizon: int) -> "TwoPointDistribution":
+        """The checked object of a law (j_lo, j_hi, p_lo, p_hi) as ``solve_distribution`` returns it."""
+        lo, hi, p_lo, p_hi = law
+        if hi == lo:
+            return cls((lo,), (p_lo,), horizon)
+        return cls((lo, hi), (p_lo, p_hi), horizon)
 
-def _member_index(bins: int, member_count: int) -> np.ndarray:
-    """Index that gathers the member values f(x) into the enumerating engine's (N, 2|F|) value table."""
-    return np.tile(np.arange(member_count), (bins, 2))
 
+def phi_from_learners(weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Profile v_i = sum_m w_{i,+,m} h_{i,+,m} - sum_m w_{i,-,m} h_{i,-,m}, checked to lie in [-1, 1].
 
-def phi_from_learners(weights: np.ndarray, h: np.ndarray) -> PhiProfile:
-    """Profile over the expert-value table h: v_i = sum_m w_{i,+,m} h_{i,+,m} - sum_m w_{i,-,m} h_{i,-,m}.
-
-    ``h`` is (N, 2M) in expert order, row i holding the M + experts of
-    bin i and then its M - experts; ``weights`` holds the N * 2M expert
-    weights in the same order.  Each sign is summed on its own, so a bin
-    whose two halves are equal gets exactly 0.
+    ``weights`` holds the N * 2M expert weights in expert order, read as
+    (N, 2, M); ``h`` holds the expert values, an (N, 2, M) table or the M
+    member values that every bin and sign share.  Each sign is summed on
+    its own, so a bin whose two halves are equal gets exactly 0.
     """
-    bins, width = h.shape
-    if weights.shape != (bins * width,) or width % 2:
-        raise ValueError("need an (N, 2M) value table and N * 2M weights")
-    halves = weights.reshape(bins, width) * h
-    if width > 2:  # sum each sign's members; with one member the reduction is a copy, skipped
-        halves = np.add.reduce(halves.reshape(bins, 2, width // 2), axis=2)
-    return PhiProfile(halves[:, 0] - halves[:, 1])
+    M = h.shape[-1]
+    w = weights.reshape(-1, 2, M)
+    if h.ndim != 1 and h.shape != w.shape:
+        raise ValueError(f"need an (N, 2, M) value table for {weights.size} weights, got shape {h.shape}")
+    halves = w * h
+    if M > 1:  # sum each sign's members; one member needs no sum
+        halves = np.add.reduce(halves, axis=2, keepdims=True)
+    values = halves[:, 0, 0] - halves[:, 1, 0]
+    if not np.maximum.reduce(np.abs(values)) <= 1.0 + _PHI_TOL:  # NaN fails the comparison too
+        raise ValueError("phi values must lie in [-1, 1]")
+    return values
 
 
-def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=None) -> PhiProfile:
+def phi_from_class(weights: np.ndarray, cls: HypothesisClass, x: Context, fvals=None) -> np.ndarray:
     """Profile of the enumerating engine: ``phi_from_learners`` over the member values f(x).
 
     ``fvals``, when given, are the member values f(x) already computed.
     """
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
-    w = np.asarray(weights, dtype=np.float64)
     fvals = cls.member_values(x) if fvals is None else np.asarray(fvals, dtype=np.float64)
-    return phi_from_learners(w, fvals[_member_index(w.size // (2 * cls.size), cls.size)])
+    return phi_from_learners(np.asarray(weights, dtype=np.float64), fvals)
 
 
-def solve_distribution(phi: PhiProfile, grid: GridConfig) -> TwoPointDistribution:
-    """Construct the per-round randomization law from the profile.
+def solve_distribution(phi: np.ndarray, grid: GridConfig) -> tuple[int, int, float, float]:
+    """Construct the per-round randomization law from the profile values phi.
+
+    The law is returned as (j_lo, j_hi, p_lo, p_hi): probability p_lo on
+    the grid point j_lo/T and p_hi on j_hi/T, with j_hi = j_lo and
+    (p_lo, p_hi) = (1, 0) for a point mass.
 
     If phi(0) > 0 the law is the point mass at 0; else if phi(1) <= 0 it
     is the point mass at 1; otherwise a sign change phi(lo) <= 0 < phi(hi)
@@ -173,58 +193,60 @@ def solve_distribution(phi: PhiProfile, grid: GridConfig) -> TwoPointDistributio
     correct for non-monotone profiles) and the law randomizes between the
     two points with inverse-magnitude weights
     P(lo) = |phi(hi)| / (|phi(lo)| + |phi(hi)|).  A vanishing endpoint
-    collapses the support to a single point; both endpoints vanishing
-    (unreachable through the bisection invariant) falls back to (1/2, 1/2).
+    collapses the support to a single point.  The law is checked as
+    ``TwoPointDistribution`` checks it: support on the grid and adjacent,
+    probabilities positive and summing to 1 within 1e-12.
     """
-    v = phi.values
-    if v.shape[0] != grid.N:
-        raise ValueError(f"profile has {v.shape[0]} bins, grid expects {grid.N}")
-    T = grid.T
-    values = v.tolist()  # python floats; the bisection loop stays scalar
+    N, T = grid.N, grid.T
+    if phi.shape != (N,):
+        raise ValueError(f"profile has shape {phi.shape}, grid expects {N} bins")
+    values = phi.tolist()  # python floats; the bisection loop stays scalar
     if values[0] > 0.0:
-        return TwoPointDistribution((0,), (1.0,), T)
-    if values[-1] <= 0.0:
-        return TwoPointDistribution((T,), (1.0,), T)
-    lo, hi = 0, T
-    N = grid.N
-    phi_lo = values[0]
-    phi_hi = values[-1]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        val = values[(mid * N) // T] if mid < T else values[N - 1]
-        if val <= 0.0:
-            lo, phi_lo = mid, val
-        else:
-            hi, phi_hi = mid, val
-    a, b = abs(phi_lo), abs(phi_hi)
-    denom = a + b
-    if denom == 0.0:
-        return TwoPointDistribution((lo, hi), (0.5, 0.5), T)
-    p_lo = b / denom
-    p_hi = a / denom
-    if p_hi == 0.0:
-        return TwoPointDistribution((lo,), (1.0,), T)
-    if p_lo == 0.0:
-        return TwoPointDistribution((hi,), (1.0,), T)
-    return TwoPointDistribution((lo, hi), (p_lo, p_hi), T)
+        lo = hi = 0
+        p_lo, p_hi = 1.0, 0.0
+    elif values[-1] <= 0.0:
+        lo = hi = T
+        p_lo, p_hi = 1.0, 0.0
+    else:
+        lo, hi = 0, T
+        phi_lo = values[0]
+        phi_hi = values[-1]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            val = values[(mid * N) // T] if mid < T else values[N - 1]
+            if val <= 0.0:
+                lo, phi_lo = mid, val
+            else:
+                hi, phi_hi = mid, val
+        a, b = abs(phi_lo), abs(phi_hi)
+        denom = a + b
+        p_lo, p_hi = b / denom, a / denom
+        if p_hi == 0.0:
+            hi, p_lo, p_hi = lo, 1.0, 0.0
+        elif p_lo == 0.0:
+            lo, p_lo, p_hi = hi, 1.0, 0.0
+    support_ok = 0 <= lo and hi <= T and (hi == lo + 1 and p_hi > 0.0 if hi != lo else p_hi == 0.0)
+    if not (support_ok and p_lo > 0.0 and -_PROB_TOL <= p_lo + p_hi - 1.0 <= _PROB_TOL):  # NaN fails too
+        raise ValueError(f"invalid randomization law {(lo, hi, p_lo, p_hi)} on the 1/{T} grid")
+    return lo, hi, p_lo, p_hi
 
 
-def sample_and_round(dist: TwoPointDistribution, grid: GridConfig, rng) -> tuple[float, int, float]:
-    """Draw the raw prediction and snap it to its bin's grid point.
+def sample_and_round(law: tuple[int, int, float, float], grid: GridConfig, rng) -> tuple[float, int, float]:
+    """Draw the raw prediction from a law (j_lo, j_hi, p_lo, p_hi) and snap it to its bin's grid point.
 
     Exactly one uniform variate is consumed per call, point masses
     included, so transcripts stay seed-stable across branch changes.
     Returns (p_tilde, bin, p).
     """
-    u = rng.random()
-    support = dist.support_idx
-    j = support[1] if len(support) == 2 and u >= dist.probs[0] else support[0]
-    b = grid.bin_of_index(j)
-    return j / grid.T, b, b / grid.N
+    lo, hi, p_lo, _ = law
+    j = hi if rng.random() >= p_lo else lo
+    N, T = grid.N, grid.T
+    b = N if j >= T else j * N // T + 1
+    return j / T, b, b / N
 
 
 def gains_efficient(
-    dist: TwoPointDistribution,
+    law: tuple[int, int, float, float],
     prop: Property,
     h: np.ndarray,
     y: float,
@@ -232,26 +254,32 @@ def gains_efficient(
 ) -> tuple[int, np.ndarray]:
     """Expected gains s_k h_k(x) e_bin(k) of the support bins' experts, as (first expert, window).
 
-    e_i = E_{p ~ dist}[1[p in I_i] ident(p, y)] is zero outside the
-    support bins lo..hi, and so is every other expert's gain.  The window
-    holds the gains of experts [first, first + window.size) in the
-    expert order of the (N, 2M) value table h: + experts gain h * e_i and
-    - experts -(h * e_i).
+    e_i = E_{p ~ law}[1[p in I_i] ident(p, y)] is zero outside the
+    support bins lo..hi, and so is every other expert's gain.  ``law`` is
+    (j_lo, j_hi, p_lo, p_hi) as ``solve_distribution`` returns it and
+    ``h`` the expert values as ``phi_from_learners`` takes them.  The
+    window holds the gains of experts [first, first + window.size) in
+    expert order: + experts gain h * e_i and - experts -(h * e_i).
     """
-    if h.ndim != 2 or h.shape[0] != grid.N:
-        raise ValueError(f"need an (N, 2M) value table with N={grid.N}, got shape {h.shape}")
-    bins = [grid.bin_of_index(j) for j in dist.support_idx]
-    lo = bins[0]
-    e = [0.0] * (bins[-1] - lo + 1)
-    for b, j, pr in zip(bins, dist.support_idx, dist.probs):
-        e[b - lo] += pr * eval_identification(prop, j / grid.T, y)
-    rows = h[lo - 1 : bins[-1]].reshape(-1, 2, h.shape[1] // 2)  # (bin, sign, member)
-    window = rows * np.array([(m, -m) for m in e])[:, :, None]
-    return (lo - 1) * h.shape[1], window.ravel()
+    lo, hi, p_lo, p_hi = law
+    N, T = grid.N, grid.T
+    if h.ndim != 1 and h.shape[:2] != (N, 2):
+        raise ValueError(f"need an (N, 2, M) value table with N={N}, or M member values; got shape {h.shape}")
+    bin_lo = N if lo >= T else lo * N // T + 1
+    e = p_lo * eval_identification(prop, lo / T, y)
+    bin_hi = bin_lo
+    if hi == lo:
+        factor = e * _SIGNS
+    else:
+        bin_hi = N if hi >= T else hi * N // T + 1
+        e_hi = p_hi * eval_identification(prop, hi / T, y)
+        factor = (e + e_hi) * _SIGNS if bin_hi == bin_lo else np.multiply.outer((e, e_hi), _SIGNS)
+    rows = h if h.ndim == 1 else h[bin_lo - 1 : bin_hi]  # (bin, sign, member), or the shared member values
+    return (bin_lo - 1) * 2 * h.shape[-1], (rows * factor).ravel()
 
 
 def gains_inefficient(
-    dist: TwoPointDistribution,
+    law: tuple[int, int, float, float],
     prop: Property,
     cls: HypothesisClass,
     x: Context,
@@ -266,7 +294,7 @@ def gains_inefficient(
     if cls.variant != "finite":
         raise ValueError("the enumerating engine needs a finite class")
     fvals = cls.member_values(x) if fvals is None else np.asarray(fvals, dtype=np.float64)
-    return gains_efficient(dist, prop, fvals[_member_index(grid.N, cls.size)], y, grid)
+    return gains_efficient(law, prop, fvals, y, grid)
 
 
 @dataclass
@@ -288,44 +316,85 @@ class RoundRecord:
     phi_hi: float
 
 
-class _ForecasterBase:
-    """The round both engines run; each engine supplies its expert-value table.
+class RoundColumns:
+    """The rounds an engine has played, one column per field of ``metrics.Transcript`` (``ROUND_FIELDS``).
 
-    ``phi`` holds the latest round's profile values; no history is kept.
+    The columns are preallocated for the horizon; the context rows
+    (``features``) are allocated by the first round, which fixes their
+    width.  The first ``count`` entries of each are filled, and
+    ``columns()`` returns that part by field name.
+    """
+
+    def __init__(self, horizon: int) -> None:
+        self.horizon = horizon
+        self.count = 0
+        self.p_tilde, self.p, self.y, self.prob_lo, self.phi_lo, self.phi_hi = np.empty((6, horizon))
+        self.bins, self.j_lo, self.j_hi = np.empty((3, horizon), dtype=np.int64)
+        self.features: np.ndarray | None = None
+
+    def append(
+        self, x: Context, p_tilde: float, b: int, p: float, y: float, law: tuple[int, int, float, float], phi: np.ndarray
+    ) -> None:
+        """Write one round: its context, sample, label, law and phi at the bins of the support points."""
+        t = self.count
+        T = self.horizon
+        if self.features is None:
+            self.features = np.empty((T, x.features.shape[0]))
+        self.features[t] = x.features
+        lo, hi, p_lo, _ = law
+        N = phi.shape[0]
+        self.p_tilde[t] = p_tilde
+        self.bins[t] = b
+        self.p[t] = p
+        self.y[t] = y
+        self.j_lo[t] = lo
+        self.j_hi[t] = hi
+        self.prob_lo[t] = p_lo
+        self.phi_lo[t] = phi[N - 1 if lo >= T else lo * N // T]
+        self.phi_hi[t] = phi[N - 1 if hi >= T else hi * N // T]
+        self.count = t + 1
+
+    def __len__(self) -> int:
+        return self.count
+
+    def columns(self) -> dict[str, np.ndarray]:
+        n = self.count
+        return {name: getattr(self, name)[:n] for name in ROUND_FIELDS}
+
+
+class _ForecasterBase:
+    """The round both engines run; each engine supplies its expert values.
+
+    ``records`` holds the rounds played, as columns; ``phi`` the latest
+    round's profile values.  No other history is kept.
     """
 
     def __init__(self, grid: GridConfig, prop: Property, rng) -> None:
         self.grid = grid
         self.prop = prop
         self.rng = rng
-        self.records: list[RoundRecord] = []
+        self.records = RoundColumns(grid.T)
         self.phi: np.ndarray | None = None
 
     @property
     def round(self) -> int:
-        return len(self.records)
+        return self.records.count
 
-    def _round(self, x: Context, h: np.ndarray, outcome_fn) -> RoundRecord:
-        """Play one round over the (N, 2M) expert-value table h and feed the experts its gains."""
+    def _round(self, x: Context, h: np.ndarray, outcome_fn) -> tuple[int, float, float]:
+        """Play one round over the expert values h, record it and feed the experts its gains; returns (bin, p, y)."""
         grid = self.grid
-        t = len(self.records)
-        if t >= grid.T:
+        if self.records.count >= grid.T:
             raise RuntimeError(f"horizon of {grid.T} rounds already exhausted")
-        phi = phi_from_learners(expert_weights(self.experts), h)
-        dist = solve_distribution(phi, grid)
-        p_tilde, b, p = sample_and_round(dist, grid, self.rng)
+        phi = self.phi = phi_from_learners(expert_weights(self.experts), h)
+        law = solve_distribution(phi, grid)
+        p_tilde, b, p = sample_and_round(law, grid, self.rng)
         y = float(outcome_fn())
         if not 0.0 <= y <= 1.0:
             raise ValueError(f"label must lie in [0, 1], got {y}")
-        values = self.phi = phi.values
-        support = dist.support_idx
-        phi_lo = values[grid.bin_of_index(support[0]) - 1]
-        phi_hi = values[grid.bin_of_index(support[-1]) - 1]
-        rec = RoundRecord(t + 1, x, p_tilde, b, p, y, dist, phi_lo, phi_hi)
-        self.records.append(rec)
-        start, window = gains_efficient(dist, self.prop, h, y, grid)
+        self.records.append(x, p_tilde, b, p, y, law, phi)
+        start, window = gains_efficient(law, self.prop, h, y, grid)
         expert_update(self.experts, window, start)
-        return rec
+        return b, p, y
 
 
 class EfficientForecaster(_ForecasterBase):
@@ -347,12 +416,12 @@ class EfficientForecaster(_ForecasterBase):
             self.bank = LinearLearnerBank(cls.dim, rows)
         self.experts = expert_init(rows, grid.T)
 
-    def step(self, x: Context, outcome_fn) -> RoundRecord:
-        """Run one round; ``outcome_fn()`` reveals the label after sampling."""
+    def step(self, x: Context, outcome_fn) -> tuple[float, float]:
+        """Run one round; ``outcome_fn()`` reveals the label after sampling.  Returns the forecast p and the label y."""
         h = self.cls.member_values(x) if self.cls.variant == "finite" else x.features
-        rec = self._round(x, self.bank.predict_all(h).reshape(-1, 2), outcome_fn)
-        self.bank.observe_pair(2 * (rec.bin - 1), h, eval_identification(self.prop, rec.p, rec.y))
-        return rec
+        b, p, y = self._round(x, self.bank.predict_all(h).reshape(-1, 2, 1), outcome_fn)
+        self.bank.observe_pair(2 * (b - 1), h, eval_identification(self.prop, p, y))
+        return p, y
 
 
 class InefficientForecaster(_ForecasterBase):
@@ -364,8 +433,8 @@ class InefficientForecaster(_ForecasterBase):
         super().__init__(grid, prop, rng)
         self.cls = cls
         self.experts = expert_init(2 * grid.N * cls.size, grid.T)
-        self._table_index = _member_index(grid.N, cls.size)
 
-    def step(self, x: Context, outcome_fn) -> RoundRecord:
-        """Run one round; ``outcome_fn()`` reveals the label after sampling."""
-        return self._round(x, self.cls.member_values(x)[self._table_index], outcome_fn)
+    def step(self, x: Context, outcome_fn) -> tuple[float, float]:
+        """Run one round; ``outcome_fn()`` reveals the label after sampling.  Returns the forecast p and the label y."""
+        _, p, y = self._round(x, self.cls.member_values(x), outcome_fn)
+        return p, y

@@ -137,23 +137,23 @@ def expert_update(state: ExpertState, gains: np.ndarray, start: int | None = Non
     elif g.ndim != 1 or not 0 <= start <= start + g.size <= K:
         raise ValueError(f"gain window of shape {g.shape} at {start} lies outside the {K} experts")
     if g.size:
-        if not np.abs(g).max() <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
+        if not np.maximum.reduce(np.abs(g)) <= 1.0 + _GAIN_TOL:  # NaN fails the comparison too
             raise ValueError("gains must be finite and lie in [-1, 1]")
         cols = slice(start, start + g.size)
         lw = state._log[:, cols]
         cells = state._table[:, cols]
-        before = cells.sum(axis=1)
+        before = np.add.reduce(cells, axis=1)
         instance_gain = (cells @ g) / state._mass  # played (pre-update) expectations
         lw += state._rate_pair @ np.array((g, g * g))  # eta * g - eta**2 * g**2
         np.exp(lw, out=cells)
-        state._mass += cells.sum(axis=1) - before
+        state._mass += np.add.reduce(cells, axis=1) - before
     else:
         instance_gain = np.zeros(state.rate_grid.size)
     scaled = state.rate_grid * instance_gain
     lm = state.log_master
     lm += scaled - scaled * scaled
     master = np.exp(lm)
-    m_z = float(master.sum())
+    m_z = float(np.add.reduce(master))
     lm -= math.log(m_z)
     master /= m_z
     state._master = master

@@ -235,8 +235,8 @@ def run(config: ExperimentConfig, out_dir=None):
         x = adversary.next_context(adv_rng)
         law = adversary.next_label_law(x)  # fixed before the forecaster samples
         laws.append(law)
-        rec = engine.step(x, lambda: sample_label(law, adv_rng))
-        adversary.observe(rec.p, rec.y)
+        p, y = engine.step(x, lambda: sample_label(law, adv_rng))
+        adversary.observe(p, y)
         if phi_rows is not None:
             phi_rows[t] = engine.phi
     wall = time.perf_counter() - start
@@ -267,21 +267,14 @@ def _metrics_row(config: ExperimentConfig, transcript: Transcript, prop, cls_obj
         "cal": cal(transcript, prop, r),
         "mcal": mcal(agg, r),
         "smcal": smcal(agg, r),
-        "mcal_exact": mcal_is_exact(cls_obj, r),
+        "mcal_exact": int(mcal_is_exact(cls_obj, r)),  # 1 or 0, as metrics.csv holds it
     }
 
 
-def _fmt(x) -> str:
-    """A CSV cell; rows hold Python scalars (from ``tolist()``), so str is repr for floats."""
-    if x is True or x is False:
-        return "1" if x else "0"
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of Python scalars (from ``tolist()``), each cell written with str: repr for floats, 1/0 for flags."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    lines += [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -539,7 +532,7 @@ def audit_run_dir(run_dir) -> AuditReport:
     _write_csv(
         run_dir / "audit.csv",
         ["t", "value", "bound", "ok"],
-        ((t, v, bound, v <= bound) for t, v in enumerate(report.values.tolist(), start=1)),
+        ((t, v, bound, 1 if v <= bound else 0) for t, v in enumerate(report.values.tolist(), start=1)),
     )
     return report
 

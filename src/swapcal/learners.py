@@ -112,9 +112,24 @@ class FiniteLearnerBank:
         self.weights[row] = _mwu_row(self.cum[row], int(self.rounds[row]), self.log_size)
 
     def observe_pair(self, row: int, member_values: np.ndarray, kappa: float) -> None:
-        """Feed rows (row, row + 1) with outcomes (kappa, -kappa)."""
-        self.observe(row, member_values, kappa)
-        self.observe(row + 1, member_values, -kappa)
+        """Feed rows (row, row + 1) with outcomes (kappa, -kappa), as one (2, |F|) block.
+
+        Each row gets the same products, maximum and sum as ``observe``
+        computes for it alone, so the result is bit for bit that of two
+        ``observe`` calls.
+        """
+        kappa = _check_outcome(kappa)
+        if not 0 <= row < self.rows - 1:
+            raise IndexError(f"row pair ({row}, {row + 1}) outside the {self.rows} rows")
+        pair = slice(row, row + 2)
+        cum = self.cum[pair]
+        cum += np.multiply.outer((kappa, -kappa), member_values)
+        rounds = self.rounds[pair]
+        rounds += 1
+        z = np.sqrt(self.log_size / rounds)[:, None] * cum
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        w = np.exp(z)
+        self.weights[pair] = w / np.add.reduce(w, axis=1, keepdims=True)
 
 
 class LinearLearnerBank:

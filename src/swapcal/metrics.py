@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GridConfig, RoundRecord
+from .engine import ROUND_FIELDS, GridConfig, RoundColumns, RoundRecord
 from .hypotheses import HypothesisClass, sup_correlation
 from .properties import Property, identification_values
 
@@ -37,9 +37,9 @@ _ASCENT_RESTARTS = 32
 _ASCENT_STEPS = 200
 
 
-# transcript.csv's columns after t; each is held in the Transcript field of its name, "bin" in ``bins``
-TRANSCRIPT_COLUMNS = ("p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi")
-_FIELDS = tuple("bins" if name == "bin" else name for name in TRANSCRIPT_COLUMNS)
+# transcript.csv's columns after t: the engines' round columns (ROUND_FIELDS), each held in the
+# Transcript field of its name; "bin" is held in ``bins``
+TRANSCRIPT_COLUMNS = tuple("bin" if name == "bins" else name for name in ROUND_FIELDS)
 
 
 @dataclass
@@ -83,16 +83,19 @@ class Transcript:
 
     def columns(self) -> dict[str, np.ndarray]:
         """transcript.csv's columns after t, by name, in file order."""
-        return {name: getattr(self, field) for name, field in zip(TRANSCRIPT_COLUMNS, _FIELDS)}
+        return {name: getattr(self, field) for name, field in zip(TRANSCRIPT_COLUMNS, ROUND_FIELDS)}
 
     @classmethod
     def from_columns(cls, grid: GridConfig, columns: dict[str, np.ndarray], features: np.ndarray) -> "Transcript":
-        return cls(grid=grid, features=features, **{field: columns[name] for name, field in zip(TRANSCRIPT_COLUMNS, _FIELDS)})
+        return cls(grid=grid, features=features, **{field: columns[name] for name, field in zip(TRANSCRIPT_COLUMNS, ROUND_FIELDS)})
 
     @classmethod
-    def from_records(cls, grid: GridConfig, records: list[RoundRecord]) -> "Transcript":
-        if not records:
+    def from_records(cls, grid: GridConfig, records: RoundColumns | list[RoundRecord]) -> "Transcript":
+        """The transcript of an engine's ``records`` (its columns, taken as they are) or of a list of ``RoundRecord``."""
+        if not len(records):
             raise ValueError("empty transcript")
+        if isinstance(records, RoundColumns):
+            return cls(grid=grid, features=records.features[: len(records)], **records.columns())
         dists = [r.distribution for r in records]
         return cls(
             grid=grid,
@@ -180,24 +183,27 @@ def _power_iteration(matrix: np.ndarray, tol: float = POWER_ITERATION_TOL, max_i
 
 
 def _ascend_sphere(vectors: np.ndarray, scales: np.ndarray, r: float) -> float:
-    """Lower-bound sup_{||theta||=1} sum_i scales_i * |<theta, v_i>| ** r."""
+    """Lower-bound sup_{||theta||=1} sum_i scales_i * |<theta, v_i>| ** r.
+
+    Projected gradient ascent from 32 deterministic starts, run together
+    as the rows of one (32, d) iterate.  A start whose gradient vanishes
+    stops there and keeps its point, as it would alone.
+    """
     d = vectors.shape[1]
-    best = 0.0
-    for restart in range(_ASCENT_RESTARTS):
-        rng = np.random.default_rng(restart)
-        theta = rng.standard_normal(d)
-        theta /= np.linalg.norm(theta)
-        for step in range(_ASCENT_STEPS):
-            proj = vectors @ theta
-            grad = (scales * r * np.abs(proj) ** (r - 1.0) * np.sign(proj)) @ vectors
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
-                break
-            theta = theta + (0.5 / (1.0 + step) ** 0.5) * grad / gnorm
-            theta /= np.linalg.norm(theta)
-        proj = vectors @ theta
-        best = max(best, float(scales @ np.abs(proj) ** r))
-    return best
+    theta = np.array([np.random.default_rng(restart).standard_normal(d) for restart in range(_ASCENT_RESTARTS)])
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    stopped = np.zeros(_ASCENT_RESTARTS, dtype=bool)
+    for step in range(_ASCENT_STEPS):
+        proj = theta @ vectors.T
+        grad = (scales * r * np.abs(proj) ** (r - 1.0) * np.sign(proj)) @ vectors
+        gnorm = np.linalg.norm(grad, axis=1, keepdims=True)
+        stopped |= gnorm[:, 0] == 0.0
+        if stopped.all():
+            break
+        moved = theta + (0.5 / (1.0 + step) ** 0.5) * grad / np.where(stopped[:, None], 1.0, gnorm)
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        theta = np.where(stopped[:, None], theta, moved)
+    return float((np.abs(theta @ vectors.T) ** r @ scales).max())
 
 
 def mcal(agg: BinAggregate, r: float) -> float:

@@ -1,8 +1,10 @@
-"""Shared test helpers: test functions that only the tests build, and a log of the gains fed to the experts."""
+"""Shared test helpers: test functions that only the tests build, a log of the gains fed to the experts, and
+checked round records read off an engine's columns."""
 
 import numpy as np
 
 import swapcal.engine as engine_mod
+from swapcal.engine import RoundRecord, TwoPointDistribution
 from swapcal.hypotheses import NORM_TOL, Context, TestFunction
 
 
@@ -60,7 +62,7 @@ def record_fed_gains(monkeypatch):
 
     def recording(*args):
         h, grid = args[2], args[4]
-        log.append({"args": args, "fed": np.zeros(grid.N * h.shape[1])})
+        log.append({"args": args, "fed": np.zeros(grid.N * 2 * h.shape[-1])})
         return real_gains(*args)
 
     def update(state, gains, start):
@@ -71,3 +73,29 @@ def record_fed_gains(monkeypatch):
     monkeypatch.setattr(engine_mod, "gains_efficient", recording)
     monkeypatch.setattr(engine_mod, "expert_update", update)
     return log
+
+
+def round_record(engine, t):
+    """Round t of an engine (negative t counts from the last round) as a checked ``RoundRecord``.
+
+    Built from the engine's columns; the upper support point's probability
+    is taken as 1 - prob_lo, as the audit takes it.
+    """
+    rec = engine.records
+    t %= rec.count
+    lo, hi, prob_lo = int(rec.j_lo[t]), int(rec.j_hi[t]), float(rec.prob_lo[t])
+    return RoundRecord(
+        t + 1,
+        Context(rec.features[t]),
+        float(rec.p_tilde[t]),
+        int(rec.bins[t]),
+        float(rec.p[t]),
+        float(rec.y[t]),
+        TwoPointDistribution.from_law((lo, hi, prob_lo, 1.0 - prob_lo), rec.horizon),
+        float(rec.phi_lo[t]),
+        float(rec.phi_hi[t]),
+    )
+
+
+def round_records(engine):
+    return [round_record(engine, t) for t in range(engine.round)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from swapcal.adversaries import LogisticAdversary, default_logistic_weights, sample_label
-from swapcal.engine import EfficientForecaster, GridConfig, PhiProfile, solve_distribution
+from swapcal.engine import EfficientForecaster, GridConfig, PhiProfile, TwoPointDistribution, solve_distribution
 from swapcal.experts import expert_init, expert_update, expert_weights
 from swapcal.harness import ExperimentConfig, audit_result, fit_power_law, run, sweep
 from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
@@ -74,7 +74,7 @@ def test_criterion_2_two_point_distribution_validity():
         grid = GridConfig(N, T)
         values = rng.uniform(-1.0, 1.0, N)
         phi = PhiProfile(values)
-        dist = solve_distribution(phi, grid)
+        dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), T)
         idx = dist.support_idx
         ok = abs(sum(dist.probs) - 1.0) <= 1e-12 and all(p > 0 for p in dist.probs)
         ok &= all(0 <= j <= T for j in idx)

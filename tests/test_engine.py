@@ -7,6 +7,7 @@ from swapcal.engine import (
     GridConfig,
     InefficientForecaster,
     PhiProfile,
+    RoundRecord,
     TwoPointDistribution,
     default_bin_count,
     gains_efficient,
@@ -16,10 +17,12 @@ from swapcal.engine import (
     sample_and_round,
     solve_distribution,
 )
-from swapcal.experts import ExpertState, expert_weights
+from swapcal.experts import ExpertState, expert_init, expert_update, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
+from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
+from swapcal.metrics import Transcript
 from swapcal.properties import eval_identification, marginal_identification, mean_property
-from helpers import dense_gains, record_fed_gains
+from helpers import dense_gains, record_fed_gains, round_record, round_records
 from test_experts import DenseReference
 
 
@@ -76,46 +79,47 @@ def test_phi_from_class_examples():
     x = Context([0.0])
     # uniform over {f} x {1, 2} x {+1, -1} cancels
     phi = phi_from_class(np.full(4, 0.25), cls, x)
-    np.testing.assert_allclose(phi.values, [0.0, 0.0])
+    np.testing.assert_allclose(phi, [0.0, 0.0])
     # all mass on (f, i=2, sigma=+1)
     phi = phi_from_class(np.array([0.0, 0.0, 1.0, 0.0]), cls, x)
-    np.testing.assert_allclose(phi.values, [0.0, 1.0])
+    np.testing.assert_allclose(phi, [0.0, 1.0])
     # all mass on (f, i=1, sigma=-1)
     phi = phi_from_class(np.array([0.0, 1.0, 0.0, 0.0]), cls, x)
-    np.testing.assert_allclose(phi.values, [-1.0, 0.0])
+    np.testing.assert_allclose(phi, [-1.0, 0.0])
     with pytest.raises(ValueError):
         phi_from_class(np.full(5, 0.2), cls, x)
 
 
 def test_phi_from_learners_examples():
-    # value tables of the efficient engine: one (+, -) learner pair per bin row
-    np.testing.assert_allclose(
-        phi_from_learners(np.full(4, 0.25), np.zeros((2, 2))).values, [0.0, 0.0]
-    )
-    np.testing.assert_allclose(
-        phi_from_learners(np.array([0.5, 0.5]), np.array([[1.0, 1.0]])).values, [0.0]
-    )
-    phi = phi_from_learners(np.array([1.0, 0.0, 0.0, 0.0]), np.array([[0.5, 0.0], [0.0, 0.0]]))
-    np.testing.assert_allclose(phi.values, [0.5, 0.0])
+    # value tables of the efficient engine: one (+, -) learner pair per bin, (N, 2, 1)
+    np.testing.assert_allclose(phi_from_learners(np.full(4, 0.25), np.zeros((2, 2, 1))), [0.0, 0.0])
+    np.testing.assert_allclose(phi_from_learners(np.array([0.5, 0.5]), np.array([[[1.0], [1.0]]])), [0.0])
+    phi = phi_from_learners(np.array([1.0, 0.0, 0.0, 0.0]), np.array([[[0.5], [0.0]], [[0.0], [0.0]]]))
+    np.testing.assert_allclose(phi, [0.5, 0.0])
     with pytest.raises(ValueError):
-        phi_from_learners(np.full(4, 0.25), np.zeros((1, 3)))
+        phi_from_learners(np.full(4, 0.25), np.zeros(3))  # 4 weights are not N * 2 * 3
+    with pytest.raises(ValueError):
+        phi_from_learners(np.full(4, 0.25), np.zeros((1, 2, 1)))  # a table for one bin, weights for two
+    with pytest.raises(ValueError):
+        phi_from_learners(np.array([1.0, 0.0, 0.0, 0.0]), np.full((2, 2, 1), 2.0))  # |phi| > 1
 
 
 def test_solve_distribution_point_mass_branches():
     grid = GridConfig(2, 10)
-    d0 = solve_distribution(PhiProfile(np.array([0.3, 0.6])), grid)
-    assert d0.support_idx == (0,) and d0.probs == (1.0,)
-    d1 = solve_distribution(PhiProfile(np.array([-0.2, -0.1])), grid)
-    assert d1.support_idx == (10,) and d1.probs == (1.0,)
+    assert solve_distribution(np.array([0.3, 0.6]), grid) == (0, 0, 1.0, 0.0)
+    assert solve_distribution(np.array([-0.2, -0.1]), grid) == (10, 10, 1.0, 0.0)
     # phi(0) = 0 is not > 0, phi(1) = 0 is <= 0: point mass at 1
-    dz = solve_distribution(PhiProfile(np.array([0.0, 0.0])), grid)
-    assert dz.support_idx == (10,)
+    assert solve_distribution(np.array([0.0, 0.0]), grid) == (10, 10, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        solve_distribution(np.array([0.3, 0.6, 0.1]), grid)  # three bins on a two-bin grid
+    with pytest.raises(ValueError):
+        solve_distribution(np.array([-0.5, float("nan")]), grid)  # the law check rejects it
 
 
 def test_solve_distribution_two_point_worked_example():
     # N=2, T=10, v=(-0.5, 0.25): sign change at 0.5, weights (1/3, 2/3)
     grid = GridConfig(2, 10)
-    dist = solve_distribution(PhiProfile(np.array([-0.5, 0.25])), grid)
+    dist = TwoPointDistribution.from_law(solve_distribution(np.array([-0.5, 0.25]), grid), grid.T)
     assert dist.support_idx == (4, 5)
     assert tuple(j / grid.T for j in dist.support_idx) == (0.4, 0.5)
     assert dist.probs[0] == pytest.approx(1.0 / 3.0)
@@ -129,7 +133,7 @@ def test_solve_distribution_sign_change_certificate():
         T = int(rng.integers(N, 512))
         grid = GridConfig(N, T)
         phi = PhiProfile(rng.uniform(-1, 1, N))
-        dist = solve_distribution(phi, grid)
+        dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), T)
         idx = dist.support_idx
         if len(idx) == 2:
             assert phi.at_index(idx[0], grid) * phi.at_index(idx[1], grid) <= 0.0
@@ -155,32 +159,36 @@ def test_two_point_distribution_validation():
         TwoPointDistribution((3,), (0.0,), 10)  # zero probability
     with pytest.raises(ValueError):
         TwoPointDistribution((11,), (1.0,), 10)  # off the grid
+    with pytest.raises(ValueError):
+        TwoPointDistribution.from_law((4, 4, 0.5, 0.5), 10)  # a point mass with half its mass
+    assert TwoPointDistribution.from_law((3, 4, 0.25, 0.75), 10) == TwoPointDistribution((3, 4), (0.25, 0.75), 10)
+    assert TwoPointDistribution.from_law((3, 3, 1.0, 0.0), 10) == TwoPointDistribution((3,), (1.0,), 10)
 
 
 def test_sample_and_round_examples():
     rng = FixedRng([0.5, 0.5, 0.5])
-    p_tilde, b, p = sample_and_round(TwoPointDistribution((4,), (1.0,), 10), GridConfig(2, 10), rng)
+    p_tilde, b, p = sample_and_round((4, 4, 1.0, 0.0), GridConfig(2, 10), rng)
     assert (p_tilde, b, p) == (0.4, 1, 0.5)
-    p_tilde, b, p = sample_and_round(TwoPointDistribution((4,), (1.0,), 4), GridConfig(4, 4), rng)
+    p_tilde, b, p = sample_and_round((4, 4, 1.0, 0.0), GridConfig(4, 4), rng)
     assert (p_tilde, b, p) == (1.0, 4, 1.0)
-    p_tilde, b, p = sample_and_round(TwoPointDistribution((0,), (1.0,), 4), GridConfig(4, 4), rng)
+    p_tilde, b, p = sample_and_round((0, 0, 1.0, 0.0), GridConfig(4, 4), rng)
     assert (p_tilde, b, p) == (0.0, 1, 0.25)
 
 
 def test_sample_consumes_exactly_one_variate():
     rng = FixedRng([0.2, 0.9])
-    dist = TwoPointDistribution((4, 5), (1.0 / 3.0, 2.0 / 3.0), 10)
+    law = (4, 5, 1.0 / 3.0, 2.0 / 3.0)
     grid = GridConfig(2, 10)
-    assert sample_and_round(dist, grid, rng)[0] == 0.4  # u = 0.2 < 1/3
-    assert sample_and_round(dist, grid, rng)[0] == 0.5  # u = 0.9 >= 1/3
+    assert sample_and_round(law, grid, rng)[0] == 0.4  # u = 0.2 < 1/3
+    assert sample_and_round(law, grid, rng)[0] == 0.5  # u = 0.9 >= 1/3
     assert rng.values == []
 
 
 def test_gains_inefficient_worked_example():
     grid = GridConfig(2, 10)
-    dist = TwoPointDistribution((4, 5), (1.0 / 3.0, 2.0 / 3.0), 10)
+    law = (4, 5, 1.0 / 3.0, 2.0 / 3.0)
     cls = HypothesisClass.finite([ConstantOne()])
-    g = dense_gains(gains_inefficient(dist, mean_property(), cls, Context([0.0]), 0.0, grid), 4)
+    g = dense_gains(gains_inefficient(law, mean_property(), cls, Context([0.0]), 0.0, grid), 4)
     # layout: (f, i, sigma) with sigma innermost
     assert g[0] == pytest.approx(2.0 / 15.0)   # (f, 1, +1)
     assert g[1] == pytest.approx(-2.0 / 15.0)  # sigma flip negates
@@ -190,32 +198,32 @@ def test_gains_inefficient_worked_example():
 
 def test_gains_sigma_flip_and_disjoint_support():
     grid = GridConfig(4, 16)
-    dist = TwoPointDistribution((0,), (1.0,), 16)  # all mass in bin 1
+    law = (0, 0, 1.0, 0.0)  # all mass in bin 1
     cls = generate_group_indicators(3, 2, seed=0)
     x = Context([0.3, -0.2])
-    g = dense_gains(gains_inefficient(dist, mean_property(), cls, x, 1.0, grid), 24).reshape(4, 2, 3)  # (bin, sign, member)
+    g = dense_gains(gains_inefficient(law, mean_property(), cls, x, 1.0, grid), 24).reshape(4, 2, 3)  # (bin, sign, member)
     np.testing.assert_allclose(g[:, 1, :], -g[:, 0, :], atol=0)
     np.testing.assert_allclose(g[1:, :, :], 0.0, atol=0)  # bins 2..4 untouched
 
 
 def test_gains_efficient_examples():
     grid = GridConfig(2, 10)
-    dist = TwoPointDistribution((4, 5), (1.0 / 3.0, 2.0 / 3.0), 10)
-    q = np.zeros((2, 2))
-    np.testing.assert_allclose(dense_gains(gains_efficient(dist, mean_property(), q, 0.0, grid), 4), 0.0)
-    q = np.array([[1.0, 0.0], [0.0, 0.0]])  # q_{1,+1} = 1
-    g = dense_gains(gains_efficient(dist, mean_property(), q, 0.0, grid), 4)
+    law = (4, 5, 1.0 / 3.0, 2.0 / 3.0)
+    q = np.zeros((2, 2, 1))
+    np.testing.assert_allclose(dense_gains(gains_efficient(law, mean_property(), q, 0.0, grid), 4), 0.0)
+    q = np.array([[[1.0], [0.0]], [[0.0], [0.0]]])  # q_{1,+1} = 1
+    g = dense_gains(gains_efficient(law, mean_property(), q, 0.0, grid), 4)
     assert g[0] == pytest.approx(2.0 / 15.0)
     # entries bounded by the distribution mass on the bin
     rng = np.random.default_rng(1)
     for _ in range(100):
-        q = rng.uniform(-1, 1, (2, 2))
+        q = rng.uniform(-1, 1, (2, 2, 1))
         y = float(rng.random())
-        g = dense_gains(gains_efficient(dist, mean_property(), q, y, grid), 4)
+        g = dense_gains(gains_efficient(law, mean_property(), q, y, grid), 4)
         assert abs(g[0]) <= 1.0 / 3.0 + 1e-12 and abs(g[1]) <= 1.0 / 3.0 + 1e-12
         assert abs(g[2]) <= 2.0 / 3.0 + 1e-12 and abs(g[3]) <= 2.0 / 3.0 + 1e-12
     with pytest.raises(ValueError):
-        gains_efficient(dist, mean_property(), np.zeros(4), 0.0, grid)  # not an (N, 2M) table
+        gains_efficient(law, mean_property(), np.zeros((3, 2, 1)), 0.0, grid)  # a table for three bins
 
 
 def make_efficient(N=4, T=64, dim=3, variant="linear", seed=0):
@@ -240,7 +248,8 @@ def drive(engine, rounds, adv_seed=1):
 
 def test_first_round_with_zero_learners_predicts_one():
     engine, grid, _, _ = make_efficient()
-    rec = engine.step(Context([0.1, 0.0, 0.0]), lambda: 1.0)
+    assert engine.step(Context([0.1, 0.0, 0.0]), lambda: 1.0) == (1.0, 1.0)  # (p, y)
+    rec = round_record(engine, -1)
     assert rec.distribution.support_idx == (grid.T,)
     assert rec.p == 1.0 and rec.bin == grid.N
     # only the two learners of the last bin observed
@@ -259,7 +268,8 @@ def test_positive_profile_predicts_first_bin():
     log_weights = np.full_like(engine.experts.log_weights, -80.0)
     log_weights[:, 0] = 0.0  # (bin 1, +1)
     engine.experts = ExpertState(grid.T, log_weights)
-    rec = engine.step(Context([0.5]), lambda: 0.0)
+    engine.step(Context([0.5]), lambda: 0.0)
+    rec = round_record(engine, 0)
     assert rec.p_tilde == 0.0
     assert rec.bin == 1 and rec.p == 1.0 / grid.N
 
@@ -267,7 +277,7 @@ def test_positive_profile_predicts_first_bin():
 def test_learner_bookkeeping_counts_match_bins():
     engine, grid, _, _ = make_efficient(N=4, T=200, variant="finite")
     drive(engine, 200)
-    bins = np.array([r.bin for r in engine.records])
+    bins = engine.records.columns()["bins"]
     for i in range(1, grid.N + 1):
         hits = int((bins == i).sum())
         assert engine.bank.rounds[2 * (i - 1)] == hits
@@ -288,7 +298,7 @@ def test_outcome_signs_are_exact_negatives():
 def test_round_records_internally_consistent():
     engine, grid, _, _ = make_efficient(N=5, T=300, dim=4)
     drive(engine, 300)
-    for t, rec in enumerate(engine.records, start=1):
+    for t, rec in enumerate(round_records(engine), start=1):
         assert rec.t == t
         j = round(rec.p_tilde * grid.T)
         assert rec.bin == grid.bin_of_index(j)
@@ -310,7 +320,7 @@ def test_fed_gains_match_independent_recomputation_efficient(monkeypatch):
     engine, grid, prop, _ = make_efficient(N=4, T=120)
     drive(engine, 120)
     assert len(fed_log) == 120
-    for rec, entry in zip(engine.records, fed_log):
+    for rec, entry in zip(round_records(engine), fed_log):
         fed, q = entry["fed"], entry["args"][2].ravel()
         # independent oracle: explicit loop over (bin, sign) pairs
         for i in range(1, grid.N + 1):
@@ -336,7 +346,7 @@ def test_fed_gains_match_independent_recomputation_inefficient(monkeypatch):
         law = adv.next_label_law(x)
         engine.step(x, lambda: sample_label(law, arng))
     assert len(fed_log) == 90
-    for rec, entry in zip(engine.records, fed_log):
+    for rec, entry in zip(round_records(engine), fed_log):
         fed = entry["fed"]
         fvals = cls.member_values(rec.x)
         for f_idx in range(cls.size):
@@ -371,7 +381,8 @@ def test_enumerating_engine_matches_member_major_reference():
         np.testing.assert_allclose(expert_weights(engine.experts)[engine_index], w.ravel(), rtol=0, atol=1e-12)
         fvals = [f(x) for f in cls.members]
         phi = [sum(fvals[m] * (w[m, i, 0] - w[m, i, 1]) for m in range(F)) for i in range(N)]
-        rec = engine.step(x, lambda: sample_label(law, arng))
+        engine.step(x, lambda: sample_label(law, arng))
+        rec = round_record(engine, -1)
         np.testing.assert_allclose(engine.phi, phi, rtol=0, atol=1e-12)
         g = np.zeros((F, N, 2))
         for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
@@ -382,6 +393,78 @@ def test_enumerating_engine_matches_member_major_reference():
     np.testing.assert_allclose(expert_weights(engine.experts)[engine_index], ref.weights(), rtol=0, atol=1e-12)
 
 
+def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
+    """Slow reference for the column round: every round built from the checked objects.
+
+    Each round builds a ``PhiProfile``, a ``TwoPointDistribution`` and a
+    ``RoundRecord``, reads phi at the support through ``at_index``, feeds
+    the learner pair through two one-row ``observe`` calls, and the
+    transcript is assembled from the list of records.  Returns the
+    transcript, the expert state and the learner bank (None when
+    enumerating).
+    """
+    rng = np.random.default_rng(engine_seed)
+    members = cls.size if enumerating else 1
+    experts = expert_init(2 * grid.N * members, grid.T)
+    finite = cls.variant == "finite"
+    bank = None
+    if not enumerating:
+        bank = FiniteLearnerBank(cls, 2 * grid.N) if finite else LinearLearnerBank(cls.dim, 2 * grid.N)
+    adv = LogisticAdversary(default_logistic_weights(3))
+    arng = np.random.default_rng(adv_seed)
+    records = []
+    for t in range(grid.T):
+        x = adv.next_context(arng)
+        label_law = adv.next_label_law(x)
+        values = cls.member_values(x) if finite else x.features
+        h = values if enumerating else bank.predict_all(values).reshape(-1, 2, 1)
+        phi = PhiProfile(phi_from_learners(expert_weights(experts), h))
+        law = solve_distribution(phi.values, grid)
+        dist = TwoPointDistribution.from_law(law, grid.T)  # checked again as the object
+        p_tilde, b, p = sample_and_round(law, grid, rng)
+        y = sample_label(label_law, arng)
+        support = dist.support_idx
+        records.append(
+            RoundRecord(t + 1, x, p_tilde, b, p, y, dist, phi.at_index(support[0], grid), phi.at_index(support[-1], grid))
+        )
+        start, window = gains_efficient(law, prop, h, y, grid)
+        expert_update(experts, window, start)
+        if bank is not None:
+            kappa = eval_identification(prop, p, y)
+            bank.observe(2 * (b - 1), values, kappa)
+            bank.observe(2 * (b - 1) + 1, values, -kappa)
+    return Transcript.from_records(grid, records), experts, bank
+
+
+@pytest.mark.parametrize(
+    "engine_cls,variant",
+    [(EfficientForecaster, "finite"), (EfficientForecaster, "linear"), (InefficientForecaster, "finite")],
+)
+def test_column_round_matches_round_by_round_replay(engine_cls, variant):
+    grid = GridConfig(7, 400)
+    prop = mean_property()
+    cls = generate_group_indicators(4, 3, seed=5) if variant == "finite" else HypothesisClass.linear(3)
+    engine = engine_cls(grid, prop, cls, np.random.default_rng(11))
+    adv = LogisticAdversary(default_logistic_weights(3))
+    arng = np.random.default_rng(12)
+    for _ in range(grid.T):
+        x = adv.next_context(arng)
+        law = adv.next_label_law(x)
+        p, y = engine.step(x, lambda: sample_label(law, arng))
+        assert (p, y) == (engine.records.p[engine.round - 1], engine.records.y[engine.round - 1])
+    reference, experts, bank = replay_round_by_round(engine_cls is InefficientForecaster, grid, prop, cls, 11, 12)
+    transcript = Transcript.from_records(grid, engine.records)
+    assert set(transcript.columns()) == set(reference.columns())
+    for name, column in reference.columns().items():
+        assert transcript.columns()[name].dtype == column.dtype
+        assert transcript.columns()[name].tobytes() == column.tobytes(), name  # bit for bit, signed zeros included
+    assert transcript.features.tobytes() == reference.features.tobytes()
+    assert expert_weights(engine.experts).tobytes() == expert_weights(experts).tobytes()
+    if bank is not None:
+        state = "cum" if variant == "finite" else "thetas"
+        assert getattr(engine.bank, state).tobytes() == getattr(bank, state).tobytes()
+
+
 def test_per_round_hedging_bound_mean():
     # E_{p ~ P_t}[phi_t(p) * marginal(p, law)] <= rho / T on every round
     engine, grid, prop, _ = make_efficient(N=6, T=400, dim=4)
@@ -390,7 +473,8 @@ def test_per_round_hedging_bound_mean():
     for _ in range(400):
         x = adv.next_context(arng)
         law = adv.next_label_law(x)
-        rec = engine.step(x, lambda: sample_label(law, arng))
+        engine.step(x, lambda: sample_label(law, arng))
+        rec = round_record(engine, -1)
         phi_row = engine.phi
         support = rec.distribution.support_idx
         assert (rec.phi_lo, rec.phi_hi) == (phi_row[grid.bin_of_index(support[0]) - 1], phi_row[grid.bin_of_index(support[-1]) - 1])
@@ -404,7 +488,7 @@ def test_replay_determinism():
     def transcript(seed):
         engine, _, _, _ = make_efficient(N=4, T=150, seed=seed)
         drive(engine, 150, adv_seed=77)
-        return [(r.t, r.p_tilde, r.bin, r.p, r.y, r.distribution.support_idx, r.distribution.probs) for r in engine.records]
+        return [(r.t, r.p_tilde, r.bin, r.p, r.y, r.distribution.support_idx, r.distribution.probs) for r in round_records(engine)]
 
     assert transcript(5) == transcript(5)
     assert transcript(5) != transcript(6)
@@ -416,9 +500,9 @@ def test_inefficient_first_round_uniform_weights():
     engine = InefficientForecaster(grid, mean_property(), cls, np.random.default_rng(0))
     w = expert_weights(engine.experts)
     np.testing.assert_allclose(w, np.full(2 * grid.N * cls.size, 1.0 / (2 * grid.N * cls.size)))
-    rec = engine.step(Context([0.2, 0.1]), lambda: 1.0)
+    p, _ = engine.step(Context([0.2, 0.1]), lambda: 1.0)
     # sigma-symmetric uniform weights cancel: phi = 0 everywhere -> mass at 1
-    assert rec.p == 1.0 and rec.bin == grid.N
+    assert p == 1.0 and engine.records.bins[0] == grid.N
 
 
 def test_inefficient_requires_finite_class():

@@ -286,7 +286,7 @@ def test_batched_audit_equals_scalar_reference_bit_for_bit(property_spec):
 
 
 def test_fed_gain_replay_matches_engine_log(monkeypatch):
-    from swapcal.engine import TwoPointDistribution, gains_efficient
+    from swapcal.engine import gains_efficient
 
     fed_log = record_fed_gains(monkeypatch)
     cfg = small_config(T=150)
@@ -297,11 +297,8 @@ def test_fed_gain_replay_matches_engine_log(monkeypatch):
     assert len(fed_log) == len(tr)
     for t, entry in enumerate(fed_log):
         j_lo, j_hi, prob_lo = int(tr.j_lo[t]), int(tr.j_hi[t]), float(tr.prob_lo[t])
-        if j_lo == j_hi:
-            dist = TwoPointDistribution((j_lo,), (1.0,), grid.T)
-        else:
-            dist = TwoPointDistribution((j_lo, j_hi), (prob_lo, 1.0 - prob_lo), grid.T)
-        replayed = dense_gains(gains_efficient(dist, prop, entry["args"][2], float(tr.y[t]), grid), entry["fed"].size)
+        law = (j_lo, j_hi, prob_lo, 1.0 - prob_lo if j_hi != j_lo else 0.0)
+        replayed = dense_gains(gains_efficient(law, prop, entry["args"][2], float(tr.y[t]), grid), entry["fed"].size)
         np.testing.assert_allclose(replayed, entry["fed"], rtol=0, atol=1e-12)
 
 

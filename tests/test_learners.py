@@ -145,6 +145,34 @@ def test_observe_pair_feeds_exact_negatives():
     np.testing.assert_allclose(fbank.weights, fref.weights, atol=0)
 
 
+def test_observe_pair_block_matches_two_observes_bit_for_bit():
+    # the (2, |F|) block update against the two one-row updates it replaces,
+    # over 1000 feeds spread across every row pair, after a few one-row feeds
+    # that leave a pair's round counts unequal
+    rng = np.random.default_rng(21)
+    cls = generate_group_indicators(6, 4, seed=8)
+    rows = 10
+    bank, ref = FiniteLearnerBank(cls, rows), FiniteLearnerBank(cls, rows)
+    for row in (0, 5):
+        fvals = cls.member_values(Context(rng.uniform(-0.5, 0.5, 4)))
+        bank.observe(row, fvals, 0.5)
+        ref.observe(row, fvals, 0.5)
+    for t in range(1000):
+        fvals = cls.member_values(Context(rng.uniform(-0.5, 0.5, 4)))
+        kappa = (0.0, 1.0, -1.0)[t] if t < 3 else float(rng.uniform(-1, 1))
+        row = 2 * int(rng.integers(rows // 2))
+        bank.observe_pair(row, fvals, kappa)
+        ref.observe(row, fvals, kappa)
+        ref.observe(row + 1, fvals, -kappa)
+    assert bank.rounds.tolist() == ref.rounds.tolist()
+    assert bank.cum.tobytes() == ref.cum.tobytes()
+    assert bank.weights.tobytes() == ref.weights.tobytes()
+    with pytest.raises(IndexError):
+        bank.observe_pair(rows - 1, fvals, 0.5)  # no row after the last
+    with pytest.raises(ValueError):
+        bank.observe_pair(0, fvals, 1.5)
+
+
 def finite_regret(cls, n, stream_fn, seed=0, dim=4):
     """Regret oracle: best member correlation minus the learner's."""
     learner = FiniteClassLearner(cls)

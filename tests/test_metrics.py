@@ -5,8 +5,8 @@ import pytest
 
 from swapcal.engine import GridConfig
 from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
-from swapcal.metrics import Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
-from swapcal.properties import eval_identification, mean_property
+from swapcal.metrics import Transcript, _ascend_sphere, aggregate, cal, mcal, mcal_is_exact, smcal
+from swapcal.properties import eval_identification, mean_property, parse_property
 from helpers import Negation
 
 
@@ -252,6 +252,79 @@ def test_linear_mcal_general_r_is_certified_lower_bound():
             vecs = agg.moment_vectors[nonzero]
             sampled = ((np.abs(thetas @ vecs.T) ** r) * n ** (1.0 - r)).sum(axis=1).max()
             assert value >= sampled - 1e-9
+
+
+def ascend_sphere_one_start_at_a_time(vectors, scales, r):
+    """Slow reference for the sphere ascent: its 32 starts run one after another."""
+    d = vectors.shape[1]
+    best = 0.0
+    for restart in range(32):
+        theta = np.random.default_rng(restart).standard_normal(d)
+        theta /= np.linalg.norm(theta)
+        for step in range(200):
+            proj = vectors @ theta
+            grad = (scales * r * np.abs(proj) ** (r - 1.0) * np.sign(proj)) @ vectors
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm == 0.0:
+                break
+            theta = theta + (0.5 / (1.0 + step) ** 0.5) * grad / gnorm
+            theta /= np.linalg.norm(theta)
+        best = max(best, float(scales @ np.abs(vectors @ theta) ** r))
+    return best
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 4.0])
+def test_batched_ascent_matches_one_start_at_a_time(r):
+    from swapcal.harness import ExperimentConfig, run
+
+    rng = np.random.default_rng(17)
+    cases = []
+    for d in (1, 3, 16):
+        agg = aggregate(random_transcript(rng, N=9, T=200, d=d), mean_property(), HypothesisClass.linear(d))
+        cases.append((agg.moment_vectors, agg.counts))
+    # a persisted_pipeline-like run: quantile on beta labels, linear:dim=16
+    res = run(
+        ExperimentConfig.from_dict(
+            {
+                "engine": "efficient",
+                "property": "quantile:q=0.5",
+                "hypothesis_class": "linear:dim=16",
+                "adversary": {"kind": "beta", "dim": 16, "a": 2.0, "b": 2.0, "amp": 0.4, "weights": [0.25, -0.25] * 8},
+                "N": 64,
+                "r": 2.0,
+                "T": 1024,
+                "seed": 1,
+            }
+        )
+    )
+    agg = aggregate(res.transcript, parse_property("quantile:q=0.5"), HypothesisClass.linear(16))
+    cases.append((agg.moment_vectors, agg.counts))
+    cases.append((np.zeros((3, 4)), np.array([2, 5, 1])))  # every gradient vanishes at once
+    for vectors, counts in cases:
+        nonzero = counts > 0
+        scales = counts[nonzero].astype(np.float64) ** (1.0 - r)
+        batched = _ascend_sphere(vectors[nonzero], scales, r)
+        reference = ascend_sphere_one_start_at_a_time(vectors[nonzero], scales, r)
+        assert abs(batched - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 4.0])
+def test_batched_ascent_stops_each_start_on_its_own(r, monkeypatch):
+    # even starts are orthogonal to every moment vector, so their gradient
+    # vanishes at once and they stop; odd starts climb to the maximum
+    class FixedStarts:
+        def __init__(self, restart):
+            self.restart = restart
+
+        def standard_normal(self, d):
+            return np.array([0.0, 1.0] if self.restart % 2 == 0 else [1.0, 1.0])
+
+    monkeypatch.setattr(np.random, "default_rng", FixedStarts)
+    vectors, scales = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([3.0, 1.0]) ** (1.0 - r)
+    with np.errstate(divide="raise", invalid="raise"):  # a stopped start divides by no zero norm
+        batched = _ascend_sphere(vectors, scales, r)
+    assert abs(batched - ascend_sphere_one_start_at_a_time(vectors, scales, r)) <= 1e-12 * batched
+    assert batched == pytest.approx(float(scales @ np.array([1.0, 2.0]) ** r), rel=1e-9)
 
 
 def test_mcal_is_exact_flag():

@@ -2,14 +2,21 @@
 
 The per-round audit holds for every phi, so it cannot see a fault in how
 the experts and learners learn.  Each mutant below is a named fault
-patched into the library.  Most leave the envelope of smcal_2 that the
-correct program stays in on fixed seeds.  The two that stay inside it are
-each run against the exact unit check that catches them.
+patched into the library: a replaced function, or a library function
+whose source has one expression changed.  Most leave the envelope of
+smcal_2 that the correct program stays in on fixed seeds.  The others are
+each run against the check that catches them: an exact unit check, or the
+per-round audit for a fault in the hedging law.
 """
+
+import __future__
+import inspect
+import textwrap
 
 import pytest
 
 import swapcal.engine as engine_mod
+import swapcal.experts as experts_mod
 import test_engine
 import test_experts
 from swapcal.experts import ExpertState
@@ -59,14 +66,14 @@ def phi_reading_member_major(weights, h):
     With one expert per (bin, sign) the two orders coincide, so only the
     enumerating engine is affected.
     """
-    bins, width = h.shape
-    return real_phi(weights.reshape(width // 2, bins, 2).transpose(1, 2, 0).ravel(), h)
+    members = h.shape[-1]
+    return real_phi(weights.reshape(members, -1, 2).transpose(1, 2, 0).ravel(), h)
 
 
-def window_one_bin_up(dist, prop, h, y, grid):
+def window_one_bin_up(law, prop, h, y, grid):
     """The support bins' gains go to the experts one bin up, or one bin down when the window ends at bin N."""
-    start, window = real_gains(dist, prop, h, y, grid)
-    width = h.shape[1]
+    start, window = real_gains(law, prop, h, y, grid)
+    width = 2 * h.shape[-1]  # experts per bin
     shift = width if start + window.size + width <= grid.N * width else -width
     return start + shift, window
 
@@ -86,6 +93,28 @@ def without_eta_squared(self, horizon, log_weights):
     self._rate_pair[:, 1] = 0.0
 
 
+def source_mutant(fn, old, new):
+    """The code of ``fn`` with the expression ``old`` replaced by ``new``, to install as ``fn.__code__``.
+
+    Installing it in place changes the function for every module that
+    imported it.  ``old`` must occur in the source exactly once.
+    """
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{old!r} is not in {fn.__name__} exactly once"
+    namespace = {}
+    code = compile(
+        source.replace(old, new), inspect.getsourcefile(fn), "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True
+    )
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__].__code__
+
+
+def audit_holds():
+    """The per-round hedging audit on one run of each engine."""
+    for engine in ("efficient", "inefficient"):
+        assert audit_result(run(config(engine, SEEDS[0]))).passed
+
+
 # mutant: [(owner, attribute, fault)]
 MUTANTS = {
     "no_expert_update": [(engine_mod, "expert_update", no_expert_update)],
@@ -95,6 +124,16 @@ MUTANTS = {
     "window_one_bin_up": [(engine_mod, "gains_efficient", window_one_bin_up)],
     "learner_fed_wrong_bin": [(bank, "observe_pair", feeding_next_bin(bank.observe_pair)) for bank in BANKS],
     "eta_squared_dropped": [(ExpertState, "__init__", without_eta_squared)],
+    "master_eta_squared_dropped": [
+        (experts_mod.expert_update, "__code__", source_mutant(experts_mod.expert_update, "lm += scaled - scaled * scaled", "lm += scaled"))
+    ],
+    "law_probabilities_swapped": [
+        (
+            engine_mod.solve_distribution,
+            "__code__",
+            source_mutant(engine_mod.solve_distribution, "p_lo, p_hi = b / denom, a / denom", "p_lo, p_hi = a / denom, b / denom"),
+        )
+    ],
 }
 CASES = [
     ("no_expert_update", "efficient"),
@@ -106,15 +145,23 @@ CASES = [
     ("window_one_bin_up", "efficient"),
     ("window_one_bin_up", "inefficient"),
 ]
-# Faults that stay inside the envelope (smcal_2 on seeds 3-5 in brackets),
+# Faults that the envelope does not catch (smcal_2 on seeds 3-5 in brackets),
 # each with the check that catches it:
 # - learner_fed_wrong_bin (efficient engine 9.86, 17.47, 12.31): the
 #   per-row learner counts;
 # - eta_squared_dropped (both engines 8.56-10.09): the windowed update
-#   against the dense reference.
+#   against the dense reference;
+# - master_eta_squared_dropped, the -eta**2 term of the master update
+#   (efficient 8.94-9.36, enumerating 7.16-8.91): the same dense reference,
+#   whose master weights must agree at 1e-12;
+# - law_probabilities_swapped, P(lo) and P(hi) exchanged so the law leans
+#   toward the larger |phi| (both engines fail the audit at about 0.80
+#   against the bound 4.9e-4 on seed 3): the per-round audit.
 CAUGHT_BY = {
     "learner_fed_wrong_bin": test_engine.test_learner_bookkeeping_counts_match_bins,
     "eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
+    "master_eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
+    "law_probabilities_swapped": audit_holds,
 }
 
 
