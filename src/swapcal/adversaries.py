@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .hypotheses import Context
-from .properties import LabelLaw, Property, bernoulli_law, beta_law, eval_identification
+from .properties import LabelLaw, Property, bernoulli_law, beta_law, eval_identification, load_special
 
 
 def _cube_context(dim: int, rng) -> Context:
@@ -85,6 +85,7 @@ class BetaAdversary:
         if self.weights.shape != (self.dim,):
             raise ValueError("weight vector must match the context dimension")
         self._density_bound = self._max_density()
+        load_special()  # the Beta kernels load at set-up, never inside a round
 
     def _params(self, s: float) -> tuple[float, float]:
         return self.a * (1.0 + self.amp * s), self.b * (1.0 - self.amp * s)

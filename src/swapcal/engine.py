@@ -190,8 +190,11 @@ def solve_distribution(phi: np.ndarray, grid: GridConfig) -> tuple[int, int, flo
     is the point mass at 1; otherwise a sign change phi(lo) <= 0 < phi(hi)
     across adjacent grid points is located by bisection (the invariant
     phi(lo) <= 0 < phi(hi) is preserved by either half, so the search is
-    correct for non-monotone profiles) and the law randomizes between the
-    two points with inverse-magnitude weights
+    correct for non-monotone profiles).  Phi is constant on a bin, so the
+    search stops once lo and hi sit in adjacent bins and takes the two
+    grid points at their boundary, the pair a search down to adjacent
+    points would reach.  The law randomizes between the two points with
+    inverse-magnitude weights
     P(lo) = |phi(hi)| / (|phi(lo)| + |phi(hi)|).  A vanishing endpoint
     collapses the support to a single point.  The law is checked as
     ``TwoPointDistribution`` checks it: support on the grid and adjacent,
@@ -209,15 +212,19 @@ def solve_distribution(phi: np.ndarray, grid: GridConfig) -> tuple[int, int, flo
         p_lo, p_hi = 1.0, 0.0
     else:
         lo, hi = 0, T
+        b_lo, b_hi = 0, N - 1
         phi_lo = values[0]
         phi_hi = values[-1]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            val = values[(mid * N) // T] if mid < T else values[N - 1]
+        while b_hi - b_lo > 1:
+            mid = (lo + hi) // 2  # a bin lies strictly between, so lo < mid < hi <= T
+            k = (mid * N) // T
+            val = values[k]
             if val <= 0.0:
-                lo, phi_lo = mid, val
+                lo, b_lo, phi_lo = mid, k, val
             else:
-                hi, phi_hi = mid, val
+                hi, b_hi, phi_hi = mid, k, val
+        hi = -(-b_hi * T // N)  # the first grid point of bin b_hi
+        lo = hi - 1
         a, b = abs(phi_lo), abs(phi_hi)
         denom = a + b
         p_lo, p_hi = b / denom, a / denom

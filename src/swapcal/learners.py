@@ -150,8 +150,19 @@ class LinearLearnerBank:
         self.thetas[row] = _ogd_step(self.thetas[row], features, kappa, int(self.rounds[row]))
 
     def observe_pair(self, row: int, features: np.ndarray, kappa: float) -> None:
-        """Feed rows (row, row + 1) with outcomes (kappa, -kappa)."""
+        """Feed rows (row, row + 1) with outcomes (kappa, -kappa), each row updated in place.
+
+        Each row takes ``_ogd_step``'s step and projection in the same
+        order, so the result is bit for bit that of two ``observe`` calls.
+        """
         kappa = _check_outcome(kappa)
+        if not 0 <= row < self.rows - 1:
+            raise IndexError(f"row pair ({row}, {row + 1}) outside the {self.rows} rows")
         for r, s in ((row, kappa), (row + 1, -kappa)):
-            self.rounds[r] += 1
-            self.thetas[r] = _ogd_step(self.thetas[r], features, s, int(self.rounds[r]))
+            n = int(self.rounds[r]) + 1
+            self.rounds[r] = n
+            v = self.thetas[r]
+            v += (2.0 / math.sqrt(n)) * s * features
+            sq = float(v @ v)
+            if sq > 1.0:
+                v /= math.sqrt(sq)

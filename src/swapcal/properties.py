@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 PROPERTY_KINDS = ("mean", "quantile", "expectile", "raw_moment")
 LAW_KINDS = ("bernoulli", "beta", "point_mass")
@@ -163,7 +162,7 @@ class LabelLaw:
             return 1.0 if u < self.params[0] else 0.0
         if self.kind == "beta":
             a, b = self.params
-            return float(special.betaincinv(a, b, u))
+            return float((_special or load_special()).betaincinv(a, b, u))
         return self.params[0]
 
 
@@ -217,6 +216,25 @@ def invalid_law_params(kind: str, params: tuple[np.ndarray, ...]) -> tuple[np.nd
     return (~((params[0] >= 0.0) & (params[0] <= 1.0)),)
 
 
+_special = None  # scipy.special once a Beta law has needed it
+
+
+def load_special():
+    """scipy.special, imported on first use and kept.
+
+    Only the Beta label laws need it (``betainc``, ``betaincinv``), so a
+    run on Bernoulli or point-mass labels never imports it.  Each Beta
+    branch reads the module as ``_special or load_special()``: once it is
+    loaded that costs no call.
+    """
+    global _special
+    if _special is None:
+        from scipy import special
+
+        _special = special
+    return _special
+
+
 # The closed forms of both law types.  Each takes scalar or array
 # parameters and points and uses only elementwise operations, so a batch
 # reproduces the scalar values bit for bit.
@@ -234,7 +252,7 @@ def _law_cdf(kind: str, params, p):
         return np.where(p >= 1.0, 1.0, 1.0 - params[0])
     if kind == "beta":
         a, b = params
-        return special.betainc(a, b, p)
+        return (_special or load_special()).betainc(a, b, p)
     return np.where(params[0] <= p, 1.0, 0.0)
 
 
@@ -257,7 +275,7 @@ def _law_partial_mean(kind: str, params, p):
         return np.where(p >= 1.0, params[0], 0.0)
     if kind == "beta":
         a, b = params
-        return _law_mean(kind, params) * special.betainc(a + 1.0, b, p)
+        return _law_mean(kind, params) * (_special or load_special()).betainc(a + 1.0, b, p)
     return np.where(params[0] <= p, params[0], 0.0)
 
 
@@ -282,8 +300,11 @@ def _check_unit(value: float, label: str) -> float:
 
 def eval_identification(prop: Property, p: float, y: float) -> float:
     """Pointwise identification residual ident(p, y), always in [-1, 1]."""
-    p = _check_unit(p, "prediction")
-    y = _check_unit(y, "label")
+    p = float(p)
+    y = float(y)
+    if not (0.0 <= p <= 1.0 and 0.0 <= y <= 1.0):  # NaN and infinities fail too
+        _check_unit(p, "prediction")
+        _check_unit(y, "label")
     if prop.kind == "mean":
         return p - y
     if prop.kind == "quantile":

@@ -150,6 +150,54 @@ def test_solve_distribution_sign_change_certificate():
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def full_bisection_law(phi, grid):
+    """Slow reference for ``solve_distribution``: bisect down to adjacent grid points."""
+    N, T = grid.N, grid.T
+    values = phi.tolist()
+    if values[0] > 0.0:
+        return 0, 0, 1.0, 0.0
+    if values[-1] <= 0.0:
+        return T, T, 1.0, 0.0
+    lo, hi = 0, T
+    phi_lo, phi_hi = values[0], values[-1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        val = values[(mid * N) // T] if mid < T else values[N - 1]
+        if val <= 0.0:
+            lo, phi_lo = mid, val
+        else:
+            hi, phi_hi = mid, val
+    a, b = abs(phi_lo), abs(phi_hi)
+    p_lo, p_hi = b / (a + b), a / (a + b)
+    if p_hi == 0.0:
+        return lo, lo, 1.0, 0.0
+    if p_lo == 0.0:
+        return hi, hi, 1.0, 0.0
+    return lo, hi, p_lo, p_hi
+
+
+@pytest.mark.parametrize("N", [1, 2, 41, 363])
+@pytest.mark.parametrize("T_kind", ["N", "8192"])
+def test_solve_distribution_matches_full_bisection(N, T_kind):
+    # random non-monotone profiles; most start at or below 0 and end above
+    # it so the search runs, and some carry exact zeros that collapse the law
+    T = N if T_kind == "N" else 8192
+    grid = GridConfig(N, T)
+    rng = np.random.default_rng(N * 10007 + T)
+    two_point = 0
+    for t in range(300):
+        phi = rng.uniform(-1.0, 1.0, N)
+        if t % 4:
+            phi[0] = -abs(phi[0])
+            phi[-1] = abs(phi[-1]) or 0.5
+        if t % 5 == 0:
+            phi[rng.random(N) < 0.3] = 0.0
+        law = solve_distribution(phi, grid)
+        assert law == full_bisection_law(phi, grid)
+        two_point += law[1] == law[0] + 1
+    assert two_point > 0 or N == 1
+
+
 def test_two_point_distribution_validation():
     with pytest.raises(ValueError):
         TwoPointDistribution((3, 5), (0.5, 0.5), 10)  # not adjacent

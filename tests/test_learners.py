@@ -173,6 +173,37 @@ def test_observe_pair_block_matches_two_observes_bit_for_bit():
         bank.observe_pair(0, fvals, 1.5)
 
 
+def test_linear_observe_pair_in_place_matches_two_observes_bit_for_bit():
+    # the in-place pair update against two one-row ``_ogd_step`` updates,
+    # over 1000 feeds spread across every row pair, with unequal round
+    # counts in some pairs; dim 5 puts odd rows at 8-byte offsets and
+    # contexts near the sphere make the projection fire often
+    rng = np.random.default_rng(23)
+    dim, rows = 5, 10
+    bank, ref = LinearLearnerBank(dim, rows), LinearLearnerBank(dim, rows)
+    for row in (0, 5):
+        x = rng.uniform(-0.5, 0.5, dim)
+        bank.observe(row, x, 0.5)
+        ref.observe(row, x, 0.5)
+    projected = 0
+    for t in range(1000):
+        x = rng.normal(size=dim)
+        x *= rng.uniform(0.0, 1.0) / np.linalg.norm(x)
+        kappa = (0.0, 1.0, -1.0)[t] if t < 3 else float(rng.uniform(-1, 1))
+        row = 2 * int(rng.integers(rows // 2))
+        bank.observe_pair(row, x, kappa)
+        ref.observe(row, x, kappa)
+        ref.observe(row + 1, x, -kappa)
+        projected += float(ref.thetas[row] @ ref.thetas[row]) > 1.0 - 1e-12
+    assert projected > 0
+    assert bank.rounds.tolist() == ref.rounds.tolist()
+    assert bank.thetas.tobytes() == ref.thetas.tobytes()
+    with pytest.raises(IndexError):
+        bank.observe_pair(rows - 1, x, 0.5)  # no row after the last
+    with pytest.raises(ValueError):
+        bank.observe_pair(0, x, 1.5)
+
+
 def finite_regret(cls, n, stream_fn, seed=0, dim=4):
     """Regret oracle: best member correlation minus the learner's."""
     learner = FiniteClassLearner(cls)

@@ -40,12 +40,16 @@ def test_identification_worked_examples():
 
 
 def test_identification_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"prediction must lie in \[0, 1\], got 1.2"):
         eval_identification(mean_property(), 1.2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"label must lie in \[0, 1\], got -0.1"):
         eval_identification(mean_property(), 0.5, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prediction .* got nan"):
         eval_identification(mean_property(), float("nan"), 0.5)
+    with pytest.raises(ValueError, match="label .* got inf"):
+        eval_identification(mean_property(), 0.5, float("inf"))
+    with pytest.raises(ValueError, match="prediction .* got -inf"):  # the prediction is checked first
+        eval_identification(mean_property(), float("-inf"), float("nan"))
 
 
 def test_parameter_validation():
