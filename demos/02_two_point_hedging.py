@@ -15,38 +15,40 @@ The script walks the three branches and then stress-tests the bound.
 
 import numpy as np
 
-from swapcal import (
-    GridConfig,
-    PhiProfile,
-    TwoPointDistribution,
-    bernoulli_law,
-    marginal_identification,
-    mean_property,
-    solve_distribution,
-)
+from swapcal import GridConfig, bernoulli_law, marginal_identification, mean_property, solve_distribution
 
 grid = GridConfig(N=2, T=10)
 prop = mean_property()
+
+
+def support(law):
+    """The (grid index, probability) pairs of a law (j_lo, j_hi, p_lo, p_hi)."""
+    lo, hi, p_lo, p_hi = law
+    return [(lo, p_lo)] if hi == lo else [(lo, p_lo), (hi, p_hi)]
+
+
+def audit(phi, law, grid, label_law):
+    """E_{p ~ law}[phi(p) * marginal residual(p, label_law)], phi read at the bin of each support point."""
+    return sum(
+        pr * phi[grid.bin_of_index(j) - 1] * marginal_identification(prop, j / grid.T, label_law)
+        for j, pr in support(law)
+    )
+
 
 for label, values in [
     ("all-positive profile", [0.3, 0.6]),
     ("all-negative profile", [-0.2, -0.1]),
     ("sign change (worked example)", [-0.5, 0.25]),
 ]:
-    dist = TwoPointDistribution.from_law(solve_distribution(np.array(values), grid), grid.T)
-    pts = ", ".join(f"{j / grid.T:g}" for j in dist.support_idx)
-    prs = ", ".join(f"{p:.4g}" for p in dist.probs)
+    law = solve_distribution(np.array(values), grid)
+    pts = ", ".join(f"{j / grid.T:g}" for j, _ in support(law))
+    prs = ", ".join(f"{pr:.4g}" for _, pr in support(law))
     print(f"{label}: phi = {values} -> support ({pts}) with probabilities ({prs})")
 
 print()
 print("hedging audit on the worked example against a fair coin:")
-phi = PhiProfile(np.array([-0.5, 0.25]))
-dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), grid.T)
-law = bernoulli_law(0.5)
-value = sum(
-    pr * phi.at_index(j, grid) * marginal_identification(prop, j / grid.T, law)
-    for j, pr in zip(dist.support_idx, dist.probs)
-)
+phi = np.array([-0.5, 0.25])
+value = audit(phi, solve_distribution(phi, grid), grid, bernoulli_law(0.5))
 print(f"  E[phi * ident] = {value:.6f} <= rho/T = {1.0 / grid.T}")
 
 print()
@@ -55,13 +57,8 @@ rng = np.random.default_rng(1)
 worst = -np.inf
 big = GridConfig(N=16, T=400)
 for _ in range(200):
-    phi = PhiProfile(rng.uniform(-1, 1, big.N))
-    dist = TwoPointDistribution.from_law(solve_distribution(phi.values, big), big.T)
+    phi = rng.uniform(-1, 1, big.N)
+    law = solve_distribution(phi, big)
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-        law = bernoulli_law(mu)
-        value = sum(
-            pr * phi.at_index(j, big) * marginal_identification(prop, j / big.T, law)
-            for j, pr in zip(dist.support_idx, dist.probs)
-        )
-        worst = max(worst, value)
+        worst = max(worst, audit(phi, law, big, bernoulli_law(mu)))
 print(f"  worst value {worst:.3e} vs bound {1.0 / big.T:.3e}")

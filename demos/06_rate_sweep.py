@@ -18,7 +18,6 @@ base = ExperimentConfig(
     T=1024,
     r=2.0,
     seed=0,
-    log_phi=False,
 )
 
 horizons = [1024, 4096, 16384]

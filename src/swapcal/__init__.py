@@ -18,9 +18,6 @@ from .engine import (
     EfficientForecaster,
     GridConfig,
     InefficientForecaster,
-    PhiProfile,
-    RoundRecord,
-    TwoPointDistribution,
     default_bin_count,
     gains_efficient,
     gains_inefficient,

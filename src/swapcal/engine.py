@@ -35,10 +35,8 @@ its law the tuple (j_lo, j_hi, p_lo, p_hi) that ``solve_distribution``
 checks and returns, and its outcome is written into the engine's
 ``RoundColumns``: the columns of ``metrics.Transcript``, preallocated for
 the horizon, which hold phi at the bins of the support points (all of phi
-that the round's audit reads).  The engine keeps only the latest full
-profile (``phi``), no history.  ``PhiProfile``, ``TwoPointDistribution``
-and ``RoundRecord`` are the checked objects of the same values, for
-tests, demos and slow references.
+that the round's audit reads).  These columns are the one record of a
+round: the engine keeps no full profile and no other history.
 
 Bins are I_i = [(i-1)/N, i/N) for i < N and I_N = [(N-1)/N, 1]; the
 prediction point of bin i is z_i = i/N.  Raw predictions live on the grid
@@ -99,54 +97,6 @@ def default_bin_count(T: int, r: float) -> int:
     return max(1, math.ceil(T ** (1.0 / (r + 1.0)) - 1e-9))
 
 
-@dataclass(frozen=True)
-class PhiProfile:
-    """Per-bin values of the piecewise-constant hedging profile."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("phi profile must be a nonempty vector")
-        if not np.maximum.reduce(np.abs(v)) <= 1.0 + _PHI_TOL:  # NaN fails the comparison too
-            raise ValueError("phi values must lie in [-1, 1]")
-        object.__setattr__(self, "values", v)
-
-    def at_index(self, j: int, grid: GridConfig) -> float:
-        return float(self.values[grid.bin_of_index(j) - 1])
-
-
-@dataclass(frozen=True)
-class TwoPointDistribution:
-    """Randomization law over one or two adjacent 1/T-grid points."""
-
-    support_idx: tuple[int, ...]
-    probs: tuple[float, ...]
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if len(self.support_idx) not in (1, 2) or len(self.probs) != len(self.support_idx):
-            raise ValueError("support must hold one or two points with matching probabilities")
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("support probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > _PROB_TOL:
-            raise ValueError("probabilities must sum to 1")
-        for j in self.support_idx:
-            if not 0 <= j <= self.horizon:
-                raise ValueError("support point outside the grid")
-        if len(self.support_idx) == 2 and self.support_idx[1] - self.support_idx[0] != 1:
-            raise ValueError("two-point support must use consecutive grid points")
-
-    @classmethod
-    def from_law(cls, law: tuple[int, int, float, float], horizon: int) -> "TwoPointDistribution":
-        """The checked object of a law (j_lo, j_hi, p_lo, p_hi) as ``solve_distribution`` returns it."""
-        lo, hi, p_lo, p_hi = law
-        if hi == lo:
-            return cls((lo,), (p_lo,), horizon)
-        return cls((lo, hi), (p_lo, p_hi), horizon)
-
-
 def phi_from_learners(weights: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Profile v_i = sum_m w_{i,+,m} h_{i,+,m} - sum_m w_{i,-,m} h_{i,-,m}, checked to lie in [-1, 1].
 
@@ -196,9 +146,9 @@ def solve_distribution(phi: np.ndarray, grid: GridConfig) -> tuple[int, int, flo
     points would reach.  The law randomizes between the two points with
     inverse-magnitude weights
     P(lo) = |phi(hi)| / (|phi(lo)| + |phi(hi)|).  A vanishing endpoint
-    collapses the support to a single point.  The law is checked as
-    ``TwoPointDistribution`` checks it: support on the grid and adjacent,
-    probabilities positive and summing to 1 within 1e-12.
+    collapses the support to a single point.  The law is checked before
+    it is returned: support on the grid and adjacent, probabilities
+    positive and summing to 1 within 1e-12; a NaN fails the check too.
     """
     N, T = grid.N, grid.T
     if phi.shape != (N,):
@@ -304,25 +254,6 @@ def gains_inefficient(
     return gains_efficient(law, prop, fvals, y, grid)
 
 
-@dataclass
-class RoundRecord:
-    """Full record of one executed round.
-
-    ``phi_lo`` and ``phi_hi`` are the profile at the bins of the lowest
-    and highest support points: all of phi that the round's audit reads.
-    """
-
-    t: int
-    x: Context
-    p_tilde: float
-    bin: int
-    p: float
-    y: float
-    distribution: TwoPointDistribution
-    phi_lo: float
-    phi_hi: float
-
-
 class RoundColumns:
     """The rounds an engine has played, one column per field of ``metrics.Transcript`` (``ROUND_FIELDS``).
 
@@ -372,8 +303,8 @@ class RoundColumns:
 class _ForecasterBase:
     """The round both engines run; each engine supplies its expert values.
 
-    ``records`` holds the rounds played, as columns; ``phi`` the latest
-    round's profile values.  No other history is kept.
+    ``records`` holds the rounds played, as columns.  No other history
+    is kept.
     """
 
     def __init__(self, grid: GridConfig, prop: Property, rng) -> None:
@@ -381,7 +312,6 @@ class _ForecasterBase:
         self.prop = prop
         self.rng = rng
         self.records = RoundColumns(grid.T)
-        self.phi: np.ndarray | None = None
 
     @property
     def round(self) -> int:
@@ -392,7 +322,7 @@ class _ForecasterBase:
         grid = self.grid
         if self.records.count >= grid.T:
             raise RuntimeError(f"horizon of {grid.T} rounds already exhausted")
-        phi = self.phi = phi_from_learners(expert_weights(self.experts), h)
+        phi = phi_from_learners(expert_weights(self.experts), h)
         law = solve_distribution(phi, grid)
         p_tilde, b, p = sample_and_round(law, grid, self.rng)
         y = float(outcome_fn())

@@ -12,8 +12,6 @@ Output files per run directory:
                     hedging profile at the bin of each support point)
     contexts.csv    t, x0..x{d-1}
     laws.csv        t, kind, p1, p2 (law parameters, p2 blank when unused)
-    phi.csv         t, v1..vN (full hedging profile rows; only with
-                    "log_phi": true)
     metrics.csv     config_hash, seed, T, N, r, cal, mcal, smcal, mcal_exact
 
 transcript.csv's columns are those of ``metrics.Transcript``: ``run``
@@ -21,9 +19,7 @@ returns them in memory, ``persist_run`` writes them as they are, and the
 audit and ``metrics`` read them back through one checked reader.  The
 audit reads config.json, laws.csv and transcript.csv: a round's expected
 audit needs phi only at its support bins, which transcript.csv holds.
-When phi.csv exists, the audit also checks it against those columns.  In
-memory, ``RunResult.phi_rows`` holds the full profile only with
-"log_phi": true.
+Those columns are the only record of the profile, in memory and on disk.
 
 Wall-clock timing goes to stdout only, keeping every persisted file
 byte-identical across replays of the same config.
@@ -71,7 +67,6 @@ _CONFIG_KEYS = {
     "r",
     "N",
     "seed",
-    "log_phi",
     "out",
 }
 
@@ -101,7 +96,6 @@ class ExperimentConfig:
     r: float
     seed: int
     N: int | None = None
-    log_phi: bool = False
     out: str | None = None
 
     @property
@@ -117,7 +111,6 @@ class ExperimentConfig:
             "T": self.T,
             "r": self.r,
             "seed": self.seed,
-            "log_phi": self.log_phi,
         }
         if self.N is not None:
             out["N"] = self.N
@@ -168,7 +161,6 @@ class ExperimentConfig:
             r=r,
             seed=seed,
             N=N,
-            log_phi=bool(raw.get("log_phi", False)),
             out=raw.get("out"),
         )
         cfg.build_components()  # fail fast on any bad sub-spec
@@ -205,16 +197,11 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """A finished run: its transcript (transcript.csv's columns and the contexts) and laws.
-
-    ``phi_rows`` holds the (T, N) hedging profile only when the config
-    sets ``log_phi``, and is None otherwise.
-    """
+    """A finished run: its transcript (transcript.csv's columns and the contexts) and laws."""
 
     config: ExperimentConfig
     transcript: Transcript
     laws: list[LabelLaw]
-    phi_rows: np.ndarray | None
     rho: float
     metrics: dict
     wall_time: float
@@ -229,16 +216,13 @@ def run(config: ExperimentConfig, out_dir=None):
     engine = engine_cls(grid, prop, cls_obj, streams["engine"])
     adv_rng = streams["adversary"]
     laws: list[LabelLaw] = []
-    phi_rows = np.empty((config.T, grid.N)) if config.log_phi else None
     start = time.perf_counter()
-    for t in range(config.T):
+    for _ in range(config.T):
         x = adversary.next_context(adv_rng)
         law = adversary.next_label_law(x)  # fixed before the forecaster samples
         laws.append(law)
         p, y = engine.step(x, lambda: sample_label(law, adv_rng))
         adversary.observe(p, y)
-        if phi_rows is not None:
-            phi_rows[t] = engine.phi
     wall = time.perf_counter() - start
     transcript = Transcript.from_records(grid, engine.records)
     agg = aggregate(transcript, prop, cls_obj)
@@ -246,7 +230,6 @@ def run(config: ExperimentConfig, out_dir=None):
         config=config,
         transcript=transcript,
         laws=laws,
-        phi_rows=phi_rows,
         rho=adversary.rho(prop),
         metrics=_metrics_row(config, transcript, prop, cls_obj, agg, config.r),
         wall_time=wall,
@@ -285,8 +268,7 @@ def _bins_of(grid: GridConfig, j: np.ndarray) -> np.ndarray:
 
 def persist_run(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = result.config
-    (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    (out_dir / "config.json").write_text(json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")
     tr = result.transcript
     _write_csv(
         out_dir / "transcript.csv",
@@ -307,12 +289,6 @@ def persist_run(result: RunResult, out_dir: Path) -> None:
             for t, law in enumerate(result.laws)
         ),
     )
-    if cfg.log_phi:
-        _write_csv(
-            out_dir / "phi.csv",
-            ["t"] + [f"v{k + 1}" for k in range(tr.grid.N)],
-            ((t, *row) for t, row in enumerate(result.phi_rows.tolist(), start=1)),
-        )
     header = list(result.metrics.keys())
     _write_csv(out_dir / "metrics.csv", header, [tuple(result.metrics[k] for k in header)])
 
@@ -487,7 +463,7 @@ def audit_values(
 
 def audit_result(result: RunResult) -> AuditReport:
     """Audit a freshly executed run (no file round trip)."""
-    prop, _, _ = result.config.build_components()
+    prop = parse_property(result.config.property_spec)
     tr = result.transcript
     laws = _law_groups(
         np.array([law.kind for law in result.laws]),
@@ -498,25 +474,6 @@ def audit_result(result: RunResult) -> AuditReport:
     return AuditReport.of(values, result.rho / tr.grid.T + AUDIT_SLACK)
 
 
-def _check_phi_log(path: Path, grid: GridConfig, rounds: dict[str, np.ndarray]) -> None:
-    """An opted-in phi.csv must hold T rows whose support-bin entries equal phi_lo/phi_hi bit for bit."""
-    header, rows = _read_rounds(path, grid.T)
-    if len(header) != grid.N + 1:
-        raise ValueError(f"{path.name} holds {len(header) - 1} bins, the config says N={grid.N}")
-    logged = {
-        name: _parse_column(path, name, [row[b] for row, b in zip(rows, _bins_of(grid, rounds[j]).tolist())], np.float64)
-        for name, j in (("phi_lo", "j_lo"), ("phi_hi", "j_hi"))
-    }
-    bad = {name: logged[name].view(np.int64) != rounds[name].view(np.int64) for name in logged}
-    if (bad["phi_lo"] | bad["phi_hi"]).any():
-        t = int(np.argmax(bad["phi_lo"] | bad["phi_hi"]))
-        name = "phi_lo" if bad["phi_lo"][t] else "phi_hi"
-        raise ValueError(
-            f"{path.name}: row {t + 1}: phi at the support bin is {logged[name][t].item()!r}, "
-            f"transcript.csv has {name} {rounds[name][t].item()!r}"
-        )
-
-
 def audit_run_dir(run_dir) -> AuditReport:
     """Audit a persisted run from config.json, laws.csv and transcript.csv; writes audit.csv beside them."""
     run_dir = Path(run_dir)
@@ -525,8 +482,6 @@ def audit_run_dir(run_dir) -> AuditReport:
     grid = GridConfig(config.bin_count, config.T)
     laws = _read_laws(run_dir / "laws.csv", config.T)
     rounds = read_transcript(run_dir / "transcript.csv", grid)
-    if (run_dir / "phi.csv").exists():
-        _check_phi_log(run_dir / "phi.csv", grid, rounds)
     report = AuditReport.of(audit_values(prop, grid, laws, rounds), adversary.rho(prop) / grid.T + AUDIT_SLACK)
     bound = report.bound
     bound_cell = str(bound)  # the same cell every row, formatted once
@@ -573,7 +528,9 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
 
     N is recomputed per horizon from the default tuning unless the base
     config pins it explicitly.  The fit regresses log mean-smcal on log T.
-    Any cell failure aborts the sweep; completed rows are persisted first.
+    Every cell's config is validated before the first cell runs, so a bad
+    horizon raises ``ConfigError`` and writes nothing.  Any cell failure
+    aborts the sweep; completed rows are persisted first.
     """
     T_values = [int(t) for t in T_values]
     seeds = [int(s) for s in seeds]
@@ -581,6 +538,9 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
         raise ValueError("need at least three distinct horizons")
     if not seeds:
         raise ValueError("need at least one seed per horizon")
+    base_raw = base.to_dict()
+    base_raw.pop("out", None)
+    cells = [ExperimentConfig.from_dict({**base_raw, "T": T, "seed": seed}) for T in T_values for seed in seeds]
     rows: list[dict] = []
     out_path = Path(out_dir) if out_dir is not None else None
 
@@ -591,34 +551,23 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
         header = ["T", "N", "seed", "smcal", "mcal", "cal", "wall_time"]
         _write_csv(out_path / "sweep.csv", header, (tuple(r[k] for k in header) for r in rows))
 
-    for T in T_values:
-        for seed in seeds:
-            cfg = ExperimentConfig(
-                engine=base.engine,
-                property_spec=base.property_spec,
-                class_spec=base.class_spec,
-                adversary=base.adversary,
-                T=T,
-                r=base.r,
-                seed=seed,
-                N=base.N,
-            )
-            try:
-                res = run(cfg)
-            except Exception:
-                persist_partial()
-                raise
-            rows.append(
-                {
-                    "T": T,
-                    "N": res.transcript.grid.N,
-                    "seed": seed,
-                    "smcal": res.metrics["smcal"],
-                    "mcal": res.metrics["mcal"],
-                    "cal": res.metrics["cal"],
-                    "wall_time": res.wall_time,
-                }
-            )
+    for cfg in cells:
+        try:
+            res = run(cfg)
+        except Exception:
+            persist_partial()
+            raise
+        rows.append(
+            {
+                "T": cfg.T,
+                "N": res.transcript.grid.N,
+                "seed": cfg.seed,
+                "smcal": res.metrics["smcal"],
+                "mcal": res.metrics["mcal"],
+                "cal": res.metrics["cal"],
+                "wall_time": res.wall_time,
+            }
+        )
     persist_partial()
     means = [float(np.mean([r["smcal"] for r in rows if r["T"] == T])) for T in T_values]
     slope, stderr, rss = fit_power_law(T_values, means)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ROUND_FIELDS, GridConfig, RoundColumns, RoundRecord
+from .engine import ROUND_FIELDS, GridConfig, RoundColumns
 from .hypotheses import HypothesisClass, sup_correlation
 from .properties import Property, identification_values
 
@@ -90,26 +90,11 @@ class Transcript:
         return cls(grid=grid, features=features, **{field: columns[name] for name, field in zip(TRANSCRIPT_COLUMNS, ROUND_FIELDS)})
 
     @classmethod
-    def from_records(cls, grid: GridConfig, records: RoundColumns | list[RoundRecord]) -> "Transcript":
-        """The transcript of an engine's ``records`` (its columns, taken as they are) or of a list of ``RoundRecord``."""
+    def from_records(cls, grid: GridConfig, records: RoundColumns) -> "Transcript":
+        """The transcript of an engine's ``records``: its columns, taken as they are."""
         if not len(records):
             raise ValueError("empty transcript")
-        if isinstance(records, RoundColumns):
-            return cls(grid=grid, features=records.features[: len(records)], **records.columns())
-        dists = [r.distribution for r in records]
-        return cls(
-            grid=grid,
-            p_tilde=np.array([r.p_tilde for r in records]),
-            bins=np.array([r.bin for r in records], dtype=np.int64),
-            p=np.array([r.p for r in records]),
-            y=np.array([r.y for r in records]),
-            features=np.vstack([r.x.features for r in records]),
-            j_lo=np.array([d.support_idx[0] for d in dists], dtype=np.int64),
-            j_hi=np.array([d.support_idx[-1] for d in dists], dtype=np.int64),
-            prob_lo=np.array([d.probs[0] for d in dists]),
-            phi_lo=np.array([r.phi_lo for r in records]),
-            phi_hi=np.array([r.phi_hi for r in records]),
-        )
+        return cls(grid=grid, features=records.features[: len(records)], **records.columns())
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Shared test helpers: test functions that only the tests build, a log of the gains fed to the experts, and
-checked round records read off an engine's columns."""
+"""Shared test helpers: test functions that only the tests build, logs of the gains fed to the experts and
+of the profiles the laws are solved from, and plain round values read off an engine's columns."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 import swapcal.engine as engine_mod
-from swapcal.engine import RoundRecord, TwoPointDistribution
 from swapcal.hypotheses import NORM_TOL, Context, TestFunction
 
 
@@ -75,23 +76,57 @@ def record_fed_gains(monkeypatch):
     return log
 
 
-def round_record(engine, t):
-    """Round t of an engine (negative t counts from the last round) as a checked ``RoundRecord``.
+def record_profiles(monkeypatch):
+    """Wrap the engine's ``solve_distribution``; return the list it fills with each round's full profile phi."""
+    profiles = []
 
-    Built from the engine's columns; the upper support point's probability
-    is taken as 1 - prob_lo, as the audit takes it.
+    def recording(phi, grid):
+        profiles.append(phi.copy())
+        return real_solve(phi, grid)
+
+    real_solve = engine_mod.solve_distribution
+    monkeypatch.setattr(engine_mod, "solve_distribution", recording)
+    return profiles
+
+
+class Round(NamedTuple):
+    """One round's values; ``law`` is (j_lo, j_hi, p_lo, p_hi) as ``solve_distribution`` returns it."""
+
+    t: int
+    x: Context
+    p_tilde: float
+    bin: int
+    p: float
+    y: float
+    law: tuple[int, int, float, float]
+    phi_lo: float
+    phi_hi: float
+
+
+def support_points(law):
+    """The (grid index, probability) pairs of a law (j_lo, j_hi, p_lo, p_hi): one for a point mass, else two."""
+    lo, hi, p_lo, p_hi = law
+    return [(lo, p_lo)] if hi == lo else [(lo, p_lo), (hi, p_hi)]
+
+
+def round_record(engine, t):
+    """Round t of an engine (negative t counts from the last round) as plain values.
+
+    Read off the engine's columns; the upper support point's probability
+    is taken as 1 - prob_lo, as the audit takes it, and as 0 on a
+    one-point support.
     """
     rec = engine.records
     t %= rec.count
     lo, hi, prob_lo = int(rec.j_lo[t]), int(rec.j_hi[t]), float(rec.prob_lo[t])
-    return RoundRecord(
+    return Round(
         t + 1,
         Context(rec.features[t]),
         float(rec.p_tilde[t]),
         int(rec.bins[t]),
         float(rec.p[t]),
         float(rec.y[t]),
-        TwoPointDistribution.from_law((lo, hi, prob_lo, 1.0 - prob_lo), rec.horizon),
+        (lo, hi, prob_lo, 1.0 - prob_lo if hi != lo else 0.0),
         float(rec.phi_lo[t]),
         float(rec.phi_hi[t]),
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from swapcal.adversaries import LogisticAdversary, default_logistic_weights, sample_label
-from swapcal.engine import EfficientForecaster, GridConfig, PhiProfile, TwoPointDistribution, solve_distribution
+from swapcal.engine import EfficientForecaster, GridConfig, solve_distribution
 from swapcal.experts import expert_init, expert_update, expert_weights
 from swapcal.harness import ExperimentConfig, audit_result, fit_power_law, run, sweep
 from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
@@ -72,22 +72,20 @@ def test_criterion_2_two_point_distribution_validity():
         N = int(rng.integers(2, 65))
         T = int(rng.integers(N, 10**4 + 1))
         grid = GridConfig(N, T)
-        values = rng.uniform(-1.0, 1.0, N)
-        phi = PhiProfile(values)
-        dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), T)
-        idx = dist.support_idx
-        ok = abs(sum(dist.probs) - 1.0) <= 1e-12 and all(p > 0 for p in dist.probs)
-        ok &= all(0 <= j <= T for j in idx)
-        if values[0] > 0.0:
-            ok &= idx == (0,)
-        elif values[-1] <= 0.0:
-            ok &= idx == (T,)
+        phi = rng.uniform(-1.0, 1.0, N)
+        lo, hi, p_lo, p_hi = solve_distribution(phi, grid)
+        ok = abs(p_lo + p_hi - 1.0) <= 1e-12 and p_lo > 0 and (p_hi > 0 if hi != lo else p_hi == 0.0)
+        ok &= 0 <= lo <= hi <= T
+        if phi[0] > 0.0:
+            ok &= (lo, hi) == (0, 0)
+        elif phi[-1] <= 0.0:
+            ok &= (lo, hi) == (T, T)
         else:
-            if len(idx) == 2:
-                ok &= idx[1] - idx[0] == 1
-                ok &= phi.at_index(idx[0], grid) * phi.at_index(idx[1], grid) <= 0.0
+            if hi != lo:
+                ok &= hi - lo == 1
+                ok &= phi[grid.bin_of_index(lo) - 1] * phi[grid.bin_of_index(hi) - 1] <= 0.0
             else:
-                ok &= phi.at_index(idx[0], grid) == 0.0
+                ok &= phi[grid.bin_of_index(lo) - 1] == 0.0
         failures += not ok
     verdict(2, failures == 0, f"{trials} random profiles, {failures} violations")
 
@@ -190,7 +188,6 @@ def rate_sweep_config(class_spec, dim, seed=0):
         T=4096,
         r=2.0,
         seed=seed,
-        log_phi=False,
     )
 
 
@@ -226,7 +223,6 @@ def test_criterion_6_linear_class_rate():
                 T=T,
                 r=1.0,
                 seed=seed,
-                log_phi=False,
             )
             vals.append(run(cfg).metrics["smcal"])
         means_r1.append(float(np.mean(vals)))

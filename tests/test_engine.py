@@ -6,9 +6,7 @@ from swapcal.engine import (
     EfficientForecaster,
     GridConfig,
     InefficientForecaster,
-    PhiProfile,
-    RoundRecord,
-    TwoPointDistribution,
+    ROUND_FIELDS,
     default_bin_count,
     gains_efficient,
     gains_inefficient,
@@ -22,7 +20,7 @@ from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_g
 from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
 from swapcal.metrics import Transcript
 from swapcal.properties import eval_identification, marginal_identification, mean_property
-from helpers import dense_gains, record_fed_gains, round_record, round_records
+from helpers import dense_gains, record_fed_gains, record_profiles, round_record, round_records, support_points
 from test_experts import DenseReference
 
 
@@ -67,11 +65,14 @@ def test_bin_partition_is_exact_for_all_grid_points():
 
 
 def test_phi_profile_validation():
-    PhiProfile(np.array([0.5, -0.5]))
-    with pytest.raises(ValueError):
-        PhiProfile(np.array([1.5, 0.0]))
-    with pytest.raises(ValueError):
-        PhiProfile(np.array([float("nan"), 0.0]))
+    # both engines' profiles are checked to lie in [-1, 1] where they are built; NaN fails too
+    weights = np.array([1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(phi_from_learners(weights, np.array([[[0.5], [0.0]], [[-0.5], [0.0]]])), [0.5, 0.0])
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"phi values must lie in \[-1, 1\]"):
+            phi_from_learners(weights, np.array([[[bad], [0.0]], [[0.0], [0.0]]]))
+        with pytest.raises(ValueError, match=r"phi values must lie in \[-1, 1\]"):
+            phi_from_class(weights, HypothesisClass.finite([ConstantOne()]), Context([0.0]), fvals=[bad])
 
 
 def test_phi_from_class_examples():
@@ -119,11 +120,11 @@ def test_solve_distribution_point_mass_branches():
 def test_solve_distribution_two_point_worked_example():
     # N=2, T=10, v=(-0.5, 0.25): sign change at 0.5, weights (1/3, 2/3)
     grid = GridConfig(2, 10)
-    dist = TwoPointDistribution.from_law(solve_distribution(np.array([-0.5, 0.25]), grid), grid.T)
-    assert dist.support_idx == (4, 5)
-    assert tuple(j / grid.T for j in dist.support_idx) == (0.4, 0.5)
-    assert dist.probs[0] == pytest.approx(1.0 / 3.0)
-    assert dist.probs[1] == pytest.approx(2.0 / 3.0)
+    lo, hi, p_lo, p_hi = solve_distribution(np.array([-0.5, 0.25]), grid)
+    assert (lo, hi) == (4, 5)
+    assert (lo / grid.T, hi / grid.T) == (0.4, 0.5)
+    assert p_lo == pytest.approx(1.0 / 3.0)
+    assert p_hi == pytest.approx(2.0 / 3.0)
 
 
 def test_solve_distribution_sign_change_certificate():
@@ -132,22 +133,22 @@ def test_solve_distribution_sign_change_certificate():
         N = int(rng.integers(2, 33))
         T = int(rng.integers(N, 512))
         grid = GridConfig(N, T)
-        phi = PhiProfile(rng.uniform(-1, 1, N))
-        dist = TwoPointDistribution.from_law(solve_distribution(phi.values, grid), T)
-        idx = dist.support_idx
-        if len(idx) == 2:
-            assert phi.at_index(idx[0], grid) * phi.at_index(idx[1], grid) <= 0.0
-            assert idx[1] - idx[0] == 1
+        phi = rng.uniform(-1, 1, N)
+        lo, hi, p_lo, p_hi = solve_distribution(phi, grid)
+        if hi != lo:
+            assert phi[grid.bin_of_index(lo) - 1] * phi[grid.bin_of_index(hi) - 1] <= 0.0
+            assert hi - lo == 1
+            assert p_hi > 0.0
         else:
-            j = idx[0]
-            if j == 0:
-                assert phi.values[0] > 0.0
-            elif j == T:
-                assert phi.values[0] <= 0.0 and phi.values[-1] <= 0.0
+            assert p_hi == 0.0
+            if lo == 0:
+                assert phi[0] > 0.0
+            elif lo == T:
+                assert phi[0] <= 0.0 and phi[-1] <= 0.0
             else:
                 # interior collapse: the lower endpoint's phi vanished
-                assert phi.at_index(j, grid) == 0.0
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
+                assert phi[grid.bin_of_index(lo) - 1] == 0.0
+        assert p_lo > 0.0 and p_lo + p_hi == pytest.approx(1.0, abs=1e-12)
 
 
 def full_bisection_law(phi, grid):
@@ -198,19 +199,15 @@ def test_solve_distribution_matches_full_bisection(N, T_kind):
     assert two_point > 0 or N == 1
 
 
-def test_two_point_distribution_validation():
-    with pytest.raises(ValueError):
-        TwoPointDistribution((3, 5), (0.5, 0.5), 10)  # not adjacent
-    with pytest.raises(ValueError):
-        TwoPointDistribution((3, 4), (0.7, 0.2), 10)  # does not sum to 1
-    with pytest.raises(ValueError):
-        TwoPointDistribution((3,), (0.0,), 10)  # zero probability
-    with pytest.raises(ValueError):
-        TwoPointDistribution((11,), (1.0,), 10)  # off the grid
-    with pytest.raises(ValueError):
-        TwoPointDistribution.from_law((4, 4, 0.5, 0.5), 10)  # a point mass with half its mass
-    assert TwoPointDistribution.from_law((3, 4, 0.25, 0.75), 10) == TwoPointDistribution((3, 4), (0.25, 0.75), 10)
-    assert TwoPointDistribution.from_law((3, 3, 1.0, 0.0), 10) == TwoPointDistribution((3,), (1.0,), 10)
+def test_solve_distribution_rejects_an_invalid_law():
+    # the final check is the only validation of a law an engine builds
+    for phi in (
+        [float("nan"), 0.5, 0.5, 0.5],  # phi(0): the search never moves off bin 1
+        [-0.5, -0.5, float("nan"), 0.5],  # a bin the bisection reads
+        [-0.5, -0.5, -0.5, float("nan")],  # phi(1), the last bin
+    ):
+        with pytest.raises(ValueError, match="invalid randomization law"):
+            solve_distribution(np.array(phi), GridConfig(4, 16))
 
 
 def test_sample_and_round_examples():
@@ -298,7 +295,7 @@ def test_first_round_with_zero_learners_predicts_one():
     engine, grid, _, _ = make_efficient()
     assert engine.step(Context([0.1, 0.0, 0.0]), lambda: 1.0) == (1.0, 1.0)  # (p, y)
     rec = round_record(engine, -1)
-    assert rec.distribution.support_idx == (grid.T,)
+    assert rec.law == (grid.T, grid.T, 1.0, 0.0)
     assert rec.p == 1.0 and rec.bin == grid.N
     # only the two learners of the last bin observed
     expected = np.zeros(2 * grid.N, dtype=np.int64)
@@ -373,7 +370,7 @@ def test_fed_gains_match_independent_recomputation_efficient(monkeypatch):
         # independent oracle: explicit loop over (bin, sign) pairs
         for i in range(1, grid.N + 1):
             mass = 0.0
-            for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
+            for j, pr in support_points(rec.law):
                 if grid.bin_of_index(j) == i:
                     mass += pr * (j / grid.T - rec.y)  # mean residual
             for s_idx, sigma in ((0, 1.0), (1, -1.0)):
@@ -400,7 +397,7 @@ def test_fed_gains_match_independent_recomputation_inefficient(monkeypatch):
         for f_idx in range(cls.size):
             for i in range(1, grid.N + 1):
                 mass = 0.0
-                for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
+                for j, pr in support_points(rec.law):
                     if grid.bin_of_index(j) == i:
                         mass += pr * (j / grid.T - rec.y)
                 base = 2 * (i - 1) * cls.size + f_idx
@@ -408,10 +405,11 @@ def test_fed_gains_match_independent_recomputation_inefficient(monkeypatch):
                 assert fed[base + cls.size] == pytest.approx(-fvals[f_idx] * mass, abs=1e-12)
 
 
-def test_enumerating_engine_matches_member_major_reference():
+def test_enumerating_engine_matches_member_major_reference(monkeypatch):
     # slow reference: experts numbered member-major, (member, bin, sign) with
     # sign innermost; the dense expert update; phi and gains from their
     # definitions, fed the engine's laws and labels
+    profiles = record_profiles(monkeypatch)
     grid = GridConfig(8, 512)
     prop = mean_property()
     cls = generate_group_indicators(4, 3, seed=5)
@@ -431,9 +429,10 @@ def test_enumerating_engine_matches_member_major_reference():
         phi = [sum(fvals[m] * (w[m, i, 0] - w[m, i, 1]) for m in range(F)) for i in range(N)]
         engine.step(x, lambda: sample_label(law, arng))
         rec = round_record(engine, -1)
-        np.testing.assert_allclose(engine.phi, phi, rtol=0, atol=1e-12)
+        assert len(profiles) == engine.round
+        np.testing.assert_allclose(profiles[-1], phi, rtol=0, atol=1e-12)  # all N entries
         g = np.zeros((F, N, 2))
-        for j, pr in zip(rec.distribution.support_idx, rec.distribution.probs):
+        for j, pr in support_points(rec.law):
             mass = pr * eval_identification(prop, j / grid.T, rec.y)
             for m in range(F):
                 g[m, grid.bin_of_index(j) - 1] += (fvals[m] * mass, -fvals[m] * mass)
@@ -442,14 +441,14 @@ def test_enumerating_engine_matches_member_major_reference():
 
 
 def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
-    """Slow reference for the column round: every round built from the checked objects.
+    """Slow reference for the column round: every round kept as a tuple of plain values.
 
-    Each round builds a ``PhiProfile``, a ``TwoPointDistribution`` and a
-    ``RoundRecord``, reads phi at the support through ``at_index``, feeds
-    the learner pair through two one-row ``observe`` calls, and the
-    transcript is assembled from the list of records.  Returns the
-    transcript, the expert state and the learner bank (None when
-    enumerating).
+    Each round reads phi at the support bins through the scalar
+    ``GridConfig.bin_of_index``, feeds the learner pair through two
+    one-row ``observe`` calls, and keeps its values of ``ROUND_FIELDS``
+    as one tuple; the transcript's columns are assembled from those tuples
+    with ``np.array``.  Returns the transcript, the expert state and the
+    learner bank (None when enumerating).
     """
     rng = np.random.default_rng(engine_seed)
     members = cls.size if enumerating else 1
@@ -460,28 +459,30 @@ def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
         bank = FiniteLearnerBank(cls, 2 * grid.N) if finite else LinearLearnerBank(cls.dim, 2 * grid.N)
     adv = LogisticAdversary(default_logistic_weights(3))
     arng = np.random.default_rng(adv_seed)
-    records = []
-    for t in range(grid.T):
+    rounds, features = [], []
+    for _ in range(grid.T):
         x = adv.next_context(arng)
         label_law = adv.next_label_law(x)
         values = cls.member_values(x) if finite else x.features
         h = values if enumerating else bank.predict_all(values).reshape(-1, 2, 1)
-        phi = PhiProfile(phi_from_learners(expert_weights(experts), h))
-        law = solve_distribution(phi.values, grid)
-        dist = TwoPointDistribution.from_law(law, grid.T)  # checked again as the object
+        phi = phi_from_learners(expert_weights(experts), h)
+        law = solve_distribution(phi, grid)
+        lo, hi, p_lo, _ = law
         p_tilde, b, p = sample_and_round(law, grid, rng)
         y = sample_label(label_law, arng)
-        support = dist.support_idx
-        records.append(
-            RoundRecord(t + 1, x, p_tilde, b, p, y, dist, phi.at_index(support[0], grid), phi.at_index(support[-1], grid))
-        )
+        rounds.append((p_tilde, b, p, y, lo, hi, p_lo, phi[grid.bin_of_index(lo) - 1], phi[grid.bin_of_index(hi) - 1]))
+        features.append(x.features)
         start, window = gains_efficient(law, prop, h, y, grid)
         expert_update(experts, window, start)
         if bank is not None:
             kappa = eval_identification(prop, p, y)
             bank.observe(2 * (b - 1), values, kappa)
             bank.observe(2 * (b - 1) + 1, values, -kappa)
-    return Transcript.from_records(grid, records), experts, bank
+    columns = {
+        name: np.array(values, dtype=np.int64 if name in ("bins", "j_lo", "j_hi") else np.float64)
+        for name, values in zip(ROUND_FIELDS, zip(*rounds))
+    }
+    return Transcript(grid=grid, features=np.array(features), **columns), experts, bank
 
 
 @pytest.mark.parametrize(
@@ -513,8 +514,9 @@ def test_column_round_matches_round_by_round_replay(engine_cls, variant):
         assert getattr(engine.bank, state).tobytes() == getattr(bank, state).tobytes()
 
 
-def test_per_round_hedging_bound_mean():
+def test_per_round_hedging_bound_mean(monkeypatch):
     # E_{p ~ P_t}[phi_t(p) * marginal(p, law)] <= rho / T on every round
+    profiles = record_profiles(monkeypatch)
     engine, grid, prop, _ = make_efficient(N=6, T=400, dim=4)
     adv = LogisticAdversary(default_logistic_weights(4))
     arng = np.random.default_rng(9)
@@ -523,11 +525,11 @@ def test_per_round_hedging_bound_mean():
         law = adv.next_label_law(x)
         engine.step(x, lambda: sample_label(law, arng))
         rec = round_record(engine, -1)
-        phi_row = engine.phi
-        support = rec.distribution.support_idx
-        assert (rec.phi_lo, rec.phi_hi) == (phi_row[grid.bin_of_index(support[0]) - 1], phi_row[grid.bin_of_index(support[-1]) - 1])
+        phi_row = profiles[-1]
+        lo, hi = rec.law[:2]
+        assert (rec.phi_lo, rec.phi_hi) == (phi_row[grid.bin_of_index(lo) - 1], phi_row[grid.bin_of_index(hi) - 1])
         value = 0.0
-        for j, pr in zip(support, rec.distribution.probs):
+        for j, pr in support_points(rec.law):
             value += pr * phi_row[grid.bin_of_index(j) - 1] * marginal_identification(prop, j / grid.T, law)
         assert value <= 1.0 / grid.T + 1e-9
 
@@ -536,7 +538,7 @@ def test_replay_determinism():
     def transcript(seed):
         engine, _, _, _ = make_efficient(N=4, T=150, seed=seed)
         drive(engine, 150, adv_seed=77)
-        return [(r.t, r.p_tilde, r.bin, r.p, r.y, r.distribution.support_idx, r.distribution.probs) for r in round_records(engine)]
+        return [(r.t, r.p_tilde, r.bin, r.p, r.y, r.law) for r in round_records(engine)]
 
     assert transcript(5) == transcript(5)
     assert transcript(5) != transcript(6)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import swapcal.harness as harness
 from swapcal.cli import main as cli_main
 from swapcal.engine import GridConfig
 from swapcal.harness import (
@@ -75,6 +76,8 @@ def small_config(**overrides):
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="unknown config keys"):
         small_config(bogus=1)
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['log_phi'\]"):
+        small_config(log_phi=False)  # the removed profile log is an unknown key like any other
     with pytest.raises(ConfigError, match="missing config keys"):
         ExperimentConfig.from_dict({"engine": "efficient"})
     with pytest.raises(ConfigError, match="engine"):
@@ -133,10 +136,10 @@ def test_run_is_deterministic_in_memory():
 
 
 def test_persisted_files_are_byte_identical(tmp_path):
-    cfg = small_config(log_phi=True)
+    cfg = small_config()
     run(cfg, out_dir=tmp_path / "a")
     run(cfg, out_dir=tmp_path / "b")
-    for name in ("transcript.csv", "contexts.csv", "laws.csv", "phi.csv", "metrics.csv", "config.json"):
+    for name in ("transcript.csv", "contexts.csv", "laws.csv", "metrics.csv", "config.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
@@ -145,7 +148,6 @@ def test_transcript_round_trip(tmp_path):
     res = run(cfg, out_dir=tmp_path)
     header, rows = read_csv(tmp_path / "transcript.csv")
     assert header == ["t", "p_tilde", "bin", "p", "y", "j_lo", "j_hi", "prob_lo", "phi_lo", "phi_hi"]
-    assert not (tmp_path / "phi.csv").exists() and res.phi_rows is None
     tr = res.transcript
     grid = tr.grid
     for t, row in enumerate(rows):
@@ -159,14 +161,6 @@ def test_transcript_round_trip(tmp_path):
         assert float(row[7]) == tr.prob_lo[t]
         assert float(row[8]) == tr.phi_lo[t]
         assert float(row[9]) == tr.phi_hi[t]
-    # with the profile logged, phi_lo/phi_hi are its entries at the support bins
-    logged = run(small_config(log_phi=True))
-    assert logged.phi_rows.shape == (len(tr), grid.N)
-    for name, column in logged.transcript.columns().items():
-        assert column.tolist() == tr.columns()[name].tolist(), name
-    for t in range(len(tr)):
-        assert tr.phi_lo[t] == logged.phi_rows[t, grid.bin_of_index(int(tr.j_lo[t])) - 1]
-        assert tr.phi_hi[t] == logged.phi_rows[t, grid.bin_of_index(int(tr.j_hi[t])) - 1]
 
 
 def test_metrics_recomputation_round_trip(tmp_path):
@@ -225,9 +219,8 @@ def test_audit_passes_without_phi_log(tmp_path):
     assert audit_run_dir(tmp_path).passed
 
 
-@pytest.mark.parametrize("log_phi", [False, True])
-def test_audit_of_run_dir_equals_in_memory_audit(tmp_path, log_phi):
-    cfg = small_config(T=400, property="quantile:q=0.3", adversary={"kind": "beta", "dim": 3, "a": 2.0, "b": 3.0}, log_phi=log_phi)
+def test_audit_of_run_dir_equals_in_memory_audit(tmp_path):
+    cfg = small_config(T=400, property="quantile:q=0.3", adversary={"kind": "beta", "dim": 3, "a": 2.0, "b": 3.0})
     res = run(cfg, out_dir=tmp_path)
     in_memory, on_disk = audit_result(res), audit_run_dir(tmp_path)
     assert on_disk.values.view(np.int64).tolist() == in_memory.values.view(np.int64).tolist()
@@ -438,9 +431,9 @@ def _truncate(path, keep_rows):
     path.write_text("\n".join(lines[: keep_rows + 1]) + "\n")
 
 
-@pytest.mark.parametrize("log_name", ["transcript.csv", "phi.csv", "laws.csv"])
+@pytest.mark.parametrize("log_name", ["transcript.csv", "laws.csv"])
 def test_cli_audit_rejects_truncated_logs(tmp_path, capsys, log_name):
-    cfg_path = write_config(tmp_path, T=300, log_phi=True)
+    cfg_path = write_config(tmp_path, T=300)
     out_dir = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     _truncate(out_dir / log_name, 100)
@@ -477,6 +470,20 @@ def test_run_dir_readers_reject_misnumbered_or_partial_rows(tmp_path):
     _truncate(tmp_path / "contexts.csv", 49)
     with pytest.raises(ValueError, match="contexts.csv"):
         compute_metrics_for_run_dir(tmp_path, [2.0])
+
+
+@pytest.mark.parametrize("horizons", ["64,128,32", "64,128,0"])
+def test_cli_sweep_rejects_a_bad_horizon_before_any_cell_runs(tmp_path, capsys, monkeypatch, horizons):
+    # N = 64 is above the horizon 32, and 0 is no horizon: each cell's config is checked up front
+    cells = []
+    real_run = harness.run
+    monkeypatch.setattr(harness, "run", lambda cfg, *args, **kwargs: cells.append(cfg) or real_run(cfg, *args, **kwargs))
+    cfg_path = write_config(tmp_path, N=64)
+    out_dir = tmp_path / "sweep_out"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--T", horizons, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "slope=" not in captured.out and "config error:" in captured.err
+    assert cells == [] and not out_dir.exists()
 
 
 def test_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
@@ -549,32 +556,6 @@ def test_audit_and_metrics_reject_an_inconsistent_transcript_column(tmp_path, ca
         assert f"transcript.csv: row {t}, column {column}:" in captured.err, (edits, captured.err)
         assert cli_main(["metrics", "--run", str(out_dir)]) == 2
         assert f"row {t}, column {column}:" in capsys.readouterr().err
-
-
-def test_audit_checks_an_opted_in_phi_log(tmp_path, capsys):
-    out_dir, rows = _persisted_run(tmp_path, N=7, log_phi=True)
-    phi_path = out_dir / "phi.csv"
-    original = phi_path.read_text()
-    assert cli_main(["audit", "--run", str(out_dir)]) == 0
-    # one entry at a support bin changed
-    t = _first_round(rows, True)
-    lines = original.splitlines()
-    cells = lines[t].split(",")
-    b = GridConfig(7, 300).bin_of_index(int(rows[t - 1]["j_hi"]))
-    cells[b] = repr(float(cells[b]) + 1e-12)
-    lines[t] = ",".join(cells)
-    phi_path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cli_main(["audit", "--run", str(out_dir)]) == 2
-    assert f"phi.csv: row {t}:" in capsys.readouterr().err
-    # an all-zero profile log
-    lines = original.splitlines()
-    lines[1:] = [",".join([str(t)] + ["0.0"] * 7) for t in range(1, 301)]
-    phi_path.write_text("\n".join(lines) + "\n")
-    first = next(t for t, row in enumerate(rows, start=1) if row["phi_lo"] != "0.0" or row["phi_hi"] != "0.0")  # -0.0 differs too
-    assert cli_main(["audit", "--run", str(out_dir)]) == 2
-    captured = capsys.readouterr()
-    assert "PASS" not in captured.out and f"phi.csv: row {first}:" in captured.err
 
 
 def test_cli_metrics_rejects_an_empty_order_list(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swapcal.engine import GridConfig
+from swapcal.engine import GridConfig, RoundColumns
 from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
 from swapcal.metrics import Transcript, _ascend_sphere, aggregate, cal, mcal, mcal_is_exact, smcal
 from swapcal.properties import eval_identification, mean_property, parse_property
@@ -344,4 +344,4 @@ def test_empty_bins_contribute_zero():
 
 def test_empty_transcript_rejected():
     with pytest.raises(ValueError):
-        Transcript.from_records(GridConfig(2, 4), [])
+        Transcript.from_records(GridConfig(2, 4), RoundColumns(4))

@@ -46,7 +46,6 @@ def config(engine, seed):
             "T": 2048,
             "r": 2.0,
             "seed": seed,
-            "log_phi": False,
         }
     )
 
