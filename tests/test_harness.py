@@ -219,9 +219,14 @@ def test_audit_passes_without_phi_log(tmp_path):
     assert audit_run_dir(tmp_path).passed
 
 
-def test_audit_of_run_dir_equals_in_memory_audit(tmp_path):
+@pytest.mark.parametrize("audited_before", [False, True])
+def test_audit_of_run_dir_equals_in_memory_audit(tmp_path, audited_before):
+    """With audited_before, an audit.csv from an earlier audit lies in the run dir and must not change the result."""
     cfg = small_config(T=400, property="quantile:q=0.3", adversary={"kind": "beta", "dim": 3, "a": 2.0, "b": 3.0})
     res = run(cfg, out_dir=tmp_path)
+    if audited_before:
+        audit_run_dir(tmp_path)
+        assert (tmp_path / "audit.csv").exists()
     in_memory, on_disk = audit_result(res), audit_run_dir(tmp_path)
     assert on_disk.values.view(np.int64).tolist() == in_memory.values.view(np.int64).tolist()
     assert (on_disk.bound, on_disk.max_value, on_disk.passed) == (in_memory.bound, in_memory.max_value, True)
