@@ -5,7 +5,7 @@ The package splits into small layers:
     properties   identification residuals, label laws, assumption checks
     hypotheses   contexts, test functions, per-bin supremum correlations
     experts      two-layer expert subroutine (second-order regret)
-    learners     online agnostic learners (finite MWU, unit-ball OGD)
+    learners     banks of online agnostic learners (finite MWU, unit-ball OGD)
     engine       the two forecasters and their round machinery
     metrics      cal / mcal / smcal computed exactly from transcripts
     adversaries  stochastic and history-adaptive stream generators
@@ -46,12 +46,7 @@ from .hypotheses import (
     parse_class,
     sup_correlation,
 )
-from .learners import (
-    FiniteClassLearner,
-    FiniteLearnerBank,
-    LinearLearnerBank,
-    UnitBallLearner,
-)
+from .learners import FiniteLearnerBank, LinearLearnerBank
 from .metrics import BinAggregate, Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
 from .properties import (
     AssumptionReport,

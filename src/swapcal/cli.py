@@ -54,6 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(text: str, cast, option: str) -> list:
+    """The comma-separated values of a list option; one that ``cast`` rejects is a usage error."""
+    try:
+        return [cast(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{option}: {text!r} is not a comma-separated list of numbers") from None
+
+
 def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(path)
     if seed_override is not None:
@@ -84,7 +92,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep":
             cfg = _load_config(args.config)
-            T_values = [int(v) for v in args.T.split(",") if v]
+            T_values = _numbers(args.T, int, "--T")
             seeds = [cfg.seed + k for k in range(args.seeds)]
             out_dir = args.out or cfg.out
             report = sweep(cfg, T_values, seeds, out_dir=out_dir)
@@ -97,7 +105,7 @@ def main(argv=None) -> int:
             print(f"audit: max={report.max_value:.3g} bound={report.bound:.3g} {verdict}")
             return 0 if report.passed else INVARIANT_ERROR
         if args.command == "metrics":
-            r_values = [float(v) for v in args.r.split(",") if v]
+            r_values = _numbers(args.r, float, "--r")
             rows = compute_metrics_for_run_dir(Path(args.run), r_values, per_bin=args.per_bin)
             for row in rows:
                 print(

@@ -44,7 +44,7 @@ from .engine import (
     default_bin_count,
 )
 from .hypotheses import NORM_TOL, parse_class
-from .metrics import TRANSCRIPT_COLUMNS, Transcript, aggregate, cal, mcal, mcal_is_exact, smcal
+from .metrics import TRANSCRIPT_COLUMNS, Transcript, aggregate, cal, check_order, mcal, mcal_is_exact, smcal
 from .properties import (
     LAW_KINDS,
     LabelLaw,
@@ -84,6 +84,17 @@ def component_streams(seed: int) -> dict[str, np.random.Generator]:
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+def _whole_number(name: str, value) -> int:
+    """``int(value)``, refusing a value that ``int`` would truncate, such as 64.9."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    if isinstance(value, float) and out != value:
+        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
+    return out
 
 
 @dataclass
@@ -133,12 +144,12 @@ class ExperimentConfig:
         engine = raw["engine"]
         if engine not in ("efficient", "inefficient"):
             raise ConfigError(f"engine: expected 'efficient' or 'inefficient', got {engine!r}")
+        T = _whole_number("T", raw["T"])
+        seed = _whole_number("seed", raw["seed"])
         try:
-            T = int(raw["T"])
             r = float(raw["r"])
-            seed = int(raw["seed"])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"T/r/seed: {exc}") from None
+            raise ConfigError(f"r: {exc}") from None
         if T < 1:
             raise ConfigError("T: must be a positive integer")
         if not (math.isfinite(r) and r >= 1.0):
@@ -147,7 +158,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be a non-negative integer, got {seed}")
         N = raw.get("N")
         if N is not None:
-            N = int(N)
+            N = _whole_number("N", N)
             if not 1 <= N <= T:
                 raise ConfigError(f"N: need 1 <= N <= T, got N={N}, T={T}")
         if not isinstance(raw["adversary"], dict):
@@ -192,6 +203,10 @@ class ExperimentConfig:
             raise ConfigError(f"adversary: {exc}") from None
         if self.engine == "inefficient" and cls_obj.variant != "finite":
             raise ConfigError("engine: the inefficient engine needs a finite hypothesis class")
+        reads = cls_obj.coordinates_read
+        if reads > adv.dim or (cls_obj.variant == "linear" and reads != adv.dim):
+            need = f"dim {reads}" if cls_obj.variant == "linear" else f"at least dim {reads}"
+            raise ConfigError(f"hypothesis_class: needs contexts of {need}, the adversary emits dim {adv.dim}")
         return prop, cls_obj, adv
 
 
@@ -528,16 +543,19 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
 
     N is recomputed per horizon from the default tuning unless the base
     config pins it explicitly.  The fit regresses log mean-smcal on log T.
-    Every cell's config is validated before the first cell runs, so a bad
-    horizon raises ``ConfigError`` and writes nothing.  Any cell failure
+    The horizons must be at least three and distinct, and every cell's
+    config is validated before the first cell runs, so a bad horizon or
+    seed list raises ``ConfigError`` and writes nothing.  Any cell failure
     aborts the sweep; completed rows are persisted first.
     """
-    T_values = [int(t) for t in T_values]
-    seeds = [int(s) for s in seeds]
-    if len(set(T_values)) < 3:
-        raise ValueError("need at least three distinct horizons")
+    T_values = [_whole_number("T", t) for t in T_values]
+    seeds = [_whole_number("seed", s) for s in seeds]
+    if len(set(T_values)) != len(T_values):
+        raise ConfigError(f"T: a horizon is repeated in {T_values}")
+    if len(T_values) < 3:
+        raise ConfigError("T: need at least three distinct horizons")
     if not seeds:
-        raise ValueError("need at least one seed per horizon")
+        raise ConfigError("seeds: need at least one seed per horizon")
     base_raw = base.to_dict()
     base_raw.pop("out", None)
     cells = [ExperimentConfig.from_dict({**base_raw, "T": T, "seed": seed}) for T in T_values for seed in seeds]
@@ -586,9 +604,12 @@ def compute_metrics_for_run_dir(run_dir, r_values, per_bin: bool = False) -> lis
     With ``per_bin`` set, also writes metrics_bins.csv holding one row per
     bin: the round count and the bin's supremum correlation.
     """
-    r_values = [float(r) for r in r_values]
+    try:
+        r_values = [check_order(r) for r in r_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not r_values:
-        raise ValueError("need at least one error order r")
+        raise ConfigError("need at least one error order r")
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_json(run_dir / "config.json")
     prop, cls_obj, _ = config.build_components()

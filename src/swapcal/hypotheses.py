@@ -130,6 +130,13 @@ class HypothesisClass:
             raise ValueError("only finite classes have a member count")
         return len(self.members)
 
+    @property
+    def coordinates_read(self) -> int:
+        """How many leading context coordinates the class reads: d for the linear class, else one past the largest indicator coordinate."""
+        if self.variant == "linear":
+            return self.dim
+        return max((m.coordinate + 1 for m in self.members if isinstance(m, GroupIndicator)), default=0)
+
     def _try_indicator_arrays(self):
         # homogeneous indicator classes get a vectorized per-round fast path
         if self.variant != "finite" or not all(isinstance(m, GroupIndicator) for m in self.members):

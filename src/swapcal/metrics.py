@@ -126,7 +126,7 @@ def aggregate(transcript: Transcript, prop: Property, cls: HypothesisClass) -> B
     return BinAggregate(transcript.grid, cls, counts, None, vectors)
 
 
-def _check_order(r: float) -> float:
+def check_order(r: float) -> float:
     r = float(r)
     if not (math.isfinite(r) and r >= 1.0):
         raise ValueError(f"the error order r must be a finite number at least 1, got {r}")
@@ -135,7 +135,7 @@ def _check_order(r: float) -> float:
 
 def smcal(agg: BinAggregate, r: float) -> float:
     """Swap-multicalibration error: per-bin suprema, then the weighted sum."""
-    r = _check_order(r)
+    r = check_order(r)
     total = 0.0
     for i in range(agg.grid.N):
         n = int(agg.counts[i])
@@ -198,7 +198,7 @@ def mcal(agg: BinAggregate, r: float) -> float:
     (top-eigenvalue form).  For the linear class at any other r the
     returned value is a certified lower bound; see ``mcal_is_exact``.
     """
-    r = _check_order(r)
+    r = check_order(r)
     nonzero = agg.counts > 0
     if agg.member_sums is not None:
         n = agg.counts[nonzero].astype(np.float64)

@@ -1,12 +1,15 @@
-"""Shared test helpers: test functions that only the tests build, logs of the gains fed to the experts and
-of the profiles the laws are solved from, and plain round values read off an engine's columns."""
+"""Shared test helpers: test functions that only the tests build, the standalone learners that are the
+slow reference for the learner banks, a regret oracle for a bank row, logs of the gains fed to the experts
+and of the profiles the laws are solved from, and plain round values read off an engine's columns."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 import swapcal.engine as engine_mod
 from swapcal.hypotheses import NORM_TOL, Context, TestFunction
+from swapcal.learners import FiniteLearnerBank
 
 
 class LinearFixed(TestFunction):
@@ -42,6 +45,101 @@ class Negation(TestFunction):
 
     def __repr__(self) -> str:
         return f"Negation({self.inner!r})"
+
+
+def _mwu_row(cum, n, log_size):
+    """Exponential weights exp(eta_n * cum) / Z with eta_n = sqrt(log|F| / n)."""
+    if n == 0 or log_size == 0.0:
+        return np.full(cum.shape, 1.0 / cum.shape[0])
+    z = math.sqrt(log_size / n) * cum
+    z = z - z.max()
+    w = np.exp(z)
+    return w / w.sum()
+
+
+def _ogd_step(theta, x, kappa, n):
+    v = theta + (2.0 / math.sqrt(n)) * kappa * x
+    sq = float(v @ v)
+    return v / math.sqrt(sq) if sq > 1.0 else v
+
+
+class FiniteClassLearner:
+    """Exponential-weights learner over |F| members, fed the member values f(x): one ``FiniteLearnerBank`` row."""
+
+    def __init__(self, size):
+        self.log_size = math.log(size)
+        self.cum = np.zeros(size)
+        self.weights = np.full(size, 1.0 / size)
+        self.rounds = 0
+
+    @property
+    def row(self):
+        return self.weights
+
+    def predict(self, member_values):
+        return float(self.weights @ member_values)
+
+    def observe(self, member_values, kappa):
+        self.cum += member_values * kappa
+        self.rounds += 1
+        self.weights = _mwu_row(self.cum, self.rounds, self.log_size)
+
+
+class UnitBallLearner:
+    """Projected-gradient learner over the linear unit ball, fed the features: one ``LinearLearnerBank`` row."""
+
+    def __init__(self, dim):
+        self.theta = np.zeros(dim)
+        self.rounds = 0
+
+    @property
+    def row(self):
+        return self.theta
+
+    def predict(self, features):
+        return float(self.theta @ features)
+
+    def observe(self, features, kappa):
+        self.rounds += 1
+        self.theta = _ogd_step(self.theta, features, kappa, self.rounds)
+
+
+class ReferenceBank(list):
+    """Standalone learners read as one bank, row r being learner r; each is fed by its own ``observe``."""
+
+    def predict_all(self, values):
+        """Every learner's prediction from one product of their stacked rows, as a bank computes it."""
+        return self.stacked("row") @ values
+
+    def stacked(self, name):
+        return np.stack([getattr(learner, name) for learner in self])
+
+
+def row_regret(bank, n, stream_fn, seed, dim):
+    """Correlation regret of row 0 of a two-row learner bank fed each round's outcomes (kappa, -kappa).
+
+    Round t draws a context uniform on [-1, 1]^dim, scaled into the unit
+    ball; a finite bank reads its member values f(x), a linear one its
+    features v = x, and ``stream_fn(t, q, rng)`` picks the outcome kappa
+    against row 0's prediction q.  The regret is the best fixed
+    comparator's summed correlation minus the row's sum of q * kappa: the
+    largest member sum of f(x) * kappa for a finite class, the norm of the
+    summed x * kappa for the unit ball.
+    """
+    finite = isinstance(bank, FiniteLearnerBank)
+    rng = np.random.default_rng(seed)
+    total, cum_row = 0.0, 0.0
+    for t in range(n):
+        raw = rng.uniform(-1, 1, dim)
+        raw /= max(1.0, float(np.linalg.norm(raw)))
+        v = bank.cls.member_values(Context(raw)) if finite else raw
+        q = float(bank.predict_all(v)[0])
+        kappa = stream_fn(t, q, rng)
+        total = total + v * kappa
+        cum_row += q * kappa
+        bank.observe_pair(0, v, kappa)
+    best = total.max() if finite else np.linalg.norm(total)
+    return float(best - cum_row)
 
 
 def dense_gains(gains, K):

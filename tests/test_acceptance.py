@@ -15,11 +15,12 @@ from swapcal.adversaries import LogisticAdversary, default_logistic_weights, sam
 from swapcal.engine import EfficientForecaster, GridConfig, solve_distribution
 from swapcal.experts import expert_init, expert_update, expert_weights
 from swapcal.harness import ExperimentConfig, audit_result, fit_power_law, run, sweep
-from swapcal.hypotheses import Context, HypothesisClass, generate_group_indicators
-from swapcal.learners import FiniteClassLearner, UnitBallLearner
+from swapcal.hypotheses import HypothesisClass, generate_group_indicators
+from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
 from swapcal.metrics import aggregate, cal, mcal, smcal
 from swapcal.properties import mean_property
 
+from helpers import row_regret
 from test_metrics import brute_force_smcal, random_transcript
 
 
@@ -90,40 +91,6 @@ def test_criterion_2_two_point_distribution_validity():
     verdict(2, failures == 0, f"{trials} random profiles, {failures} violations")
 
 
-def _finite_oal_regret(cls, n, stream_fn, seed):
-    learner = FiniteClassLearner(cls)
-    rng = np.random.default_rng(seed)
-    cum_members = np.zeros(cls.size)
-    cum_learner = 0.0
-    for t in range(n):
-        raw = rng.uniform(-1, 1, 4)
-        raw /= max(1.0, float(np.linalg.norm(raw)))
-        x = Context(raw)
-        q = learner.predict(x)
-        kappa = stream_fn(t, q, rng)
-        cum_members += cls.member_values(x) * kappa
-        cum_learner += q * kappa
-        learner.observe(x, kappa)
-    return float(cum_members.max() - cum_learner)
-
-
-def _linear_oal_regret(dim, n, stream_fn, seed):
-    learner = UnitBallLearner(dim)
-    rng = np.random.default_rng(seed)
-    moment = np.zeros(dim)
-    cum_learner = 0.0
-    for t in range(n):
-        raw = rng.uniform(-1, 1, dim)
-        raw /= max(1.0, float(np.linalg.norm(raw)))
-        x = Context(raw)
-        q = learner.predict(x)
-        kappa = stream_fn(t, q, rng)
-        moment += x.features * kappa
-        cum_learner += q * kappa
-        learner.observe(x, kappa)
-    return float(np.linalg.norm(moment) - cum_learner)
-
-
 STREAMS = (
     ("iid_sign", lambda t, q, rng: float(rng.choice([-1.0, 1.0]))),
     ("anti_predict", lambda t, q, rng: -math.copysign(1.0, q) if q != 0 else float(rng.choice([-1.0, 1.0]))),
@@ -138,14 +105,14 @@ def test_criterion_3_oal_regret():
         cls = generate_group_indicators(size, 4, seed=11)
         bound = 2.0 * math.sqrt(n * math.log(size))
         start = time.perf_counter()
-        worst = max(_finite_oal_regret(cls, n, fn, seed=1) for _, fn in STREAMS)
+        worst = max(row_regret(FiniteLearnerBank(cls, 2), n, fn, seed=1, dim=4) for _, fn in STREAMS)
         wall = time.perf_counter() - start
         ok &= worst <= bound and wall < 5.0
         details.append(f"|F|={size}: {worst:.0f}<={bound:.0f} ({wall:.1f}s)")
     for dim in (2, 16):
         bound = 3.0 * math.sqrt(n)
         start = time.perf_counter()
-        worst = max(_linear_oal_regret(dim, n, fn, seed=2) for _, fn in STREAMS)
+        worst = max(row_regret(LinearLearnerBank(dim, 2), n, fn, seed=2, dim=dim) for _, fn in STREAMS)
         wall = time.perf_counter() - start
         ok &= worst <= bound and wall < 5.0
         details.append(f"d={dim}: {worst:.0f}<={bound:.0f} ({wall:.1f}s)")

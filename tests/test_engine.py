@@ -17,10 +17,19 @@ from swapcal.engine import (
 )
 from swapcal.experts import ExpertState, expert_init, expert_update, expert_weights
 from swapcal.hypotheses import ConstantOne, Context, HypothesisClass, generate_group_indicators
-from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
 from swapcal.metrics import Transcript
 from swapcal.properties import eval_identification, marginal_identification, mean_property
-from helpers import dense_gains, record_fed_gains, record_profiles, round_record, round_records, support_points
+from helpers import (
+    FiniteClassLearner,
+    ReferenceBank,
+    UnitBallLearner,
+    dense_gains,
+    record_fed_gains,
+    record_profiles,
+    round_record,
+    round_records,
+    support_points,
+)
 from test_experts import DenseReference
 
 
@@ -444,11 +453,12 @@ def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
     """Slow reference for the column round: every round kept as a tuple of plain values.
 
     Each round reads phi at the support bins through the scalar
-    ``GridConfig.bin_of_index``, feeds the learner pair through two
-    one-row ``observe`` calls, and keeps its values of ``ROUND_FIELDS``
-    as one tuple; the transcript's columns are assembled from those tuples
-    with ``np.array``.  Returns the transcript, the expert state and the
-    learner bank (None when enumerating).
+    ``GridConfig.bin_of_index``, feeds the hit bin's two standalone
+    learners through one ``observe`` call each, and keeps its values of
+    ``ROUND_FIELDS`` as one tuple; the transcript's columns are assembled
+    from those tuples with ``np.array``.  Returns the transcript, the
+    expert state and the ``ReferenceBank`` of learners (None when
+    enumerating).
     """
     rng = np.random.default_rng(engine_seed)
     members = cls.size if enumerating else 1
@@ -456,7 +466,7 @@ def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
     finite = cls.variant == "finite"
     bank = None
     if not enumerating:
-        bank = FiniteLearnerBank(cls, 2 * grid.N) if finite else LinearLearnerBank(cls.dim, 2 * grid.N)
+        bank = ReferenceBank(FiniteClassLearner(cls.size) if finite else UnitBallLearner(cls.dim) for _ in range(2 * grid.N))
     adv = LogisticAdversary(default_logistic_weights(3))
     arng = np.random.default_rng(adv_seed)
     rounds, features = [], []
@@ -476,8 +486,8 @@ def replay_round_by_round(enumerating, grid, prop, cls, engine_seed, adv_seed):
         expert_update(experts, window, start)
         if bank is not None:
             kappa = eval_identification(prop, p, y)
-            bank.observe(2 * (b - 1), values, kappa)
-            bank.observe(2 * (b - 1) + 1, values, -kappa)
+            bank[2 * (b - 1)].observe(values, kappa)
+            bank[2 * (b - 1) + 1].observe(values, -kappa)
     columns = {
         name: np.array(values, dtype=np.int64 if name in ("bins", "j_lo", "j_hi") else np.float64)
         for name, values in zip(ROUND_FIELDS, zip(*rounds))
@@ -510,8 +520,9 @@ def test_column_round_matches_round_by_round_replay(engine_cls, variant):
     assert transcript.features.tobytes() == reference.features.tobytes()
     assert expert_weights(engine.experts).tobytes() == expert_weights(experts).tobytes()
     if bank is not None:
-        state = "cum" if variant == "finite" else "thetas"
-        assert getattr(engine.bank, state).tobytes() == getattr(bank, state).tobytes()
+        state, name = ("cum", "cum") if variant == "finite" else ("thetas", "theta")
+        assert getattr(engine.bank, state).tobytes() == bank.stacked(name).tobytes()
+        assert engine.bank.rounds.tolist() == bank.stacked("rounds").tolist()
 
 
 def test_per_round_hedging_bound_mean(monkeypatch):

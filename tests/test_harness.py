@@ -101,6 +101,32 @@ def test_config_validation_errors():
         small_config(seed=-3)
 
 
+@pytest.mark.parametrize("key,value", [("T", 64.9), ("N", 4.5), ("seed", 1.7)])
+def test_config_rejects_a_count_that_int_would_truncate(key, value):
+    with pytest.raises(ConfigError, match=f"{key}: must be a whole number, got {value}"):
+        small_config(**{key: value})
+    assert small_config(**{key: float(int(value))}).to_dict()[key] == int(value)  # a whole float is that integer
+
+
+@pytest.mark.parametrize(
+    "hypothesis_class,error",
+    [
+        ("linear:dim=16", "needs contexts of dim 16, the adversary emits dim 4"),
+        ("finite:groups=8,dim=8", "needs contexts of at least dim 8, the adversary emits dim 4"),
+        ("finite:groups=8,dim=2", None),  # reads coordinates 0 and 1 of the four
+    ],
+)
+def test_cli_checks_the_class_against_the_adversary_dim(tmp_path, capsys, hypothesis_class, error):
+    cfg_path = write_config(tmp_path, hypothesis_class=hypothesis_class, adversary={"kind": "logistic", "dim": 4})
+    out_dir = tmp_path / "out"
+    code = cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    if error is None:
+        assert code == 0 and (out_dir / "transcript.csv").exists()
+    else:
+        assert code == 1 and f"config error: hypothesis_class: {error}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_default_bin_count_from_config():
     cfg = small_config(T=1000)
     assert cfg.bin_count == 10
@@ -477,9 +503,10 @@ def test_run_dir_readers_reject_misnumbered_or_partial_rows(tmp_path):
         compute_metrics_for_run_dir(tmp_path, [2.0])
 
 
-@pytest.mark.parametrize("horizons", ["64,128,32", "64,128,0"])
+@pytest.mark.parametrize("horizons", ["64,128,32", "64,128,0", "64,128", "64,abc,256", "64,128,64,256"])
 def test_cli_sweep_rejects_a_bad_horizon_before_any_cell_runs(tmp_path, capsys, monkeypatch, horizons):
-    # N = 64 is above the horizon 32, and 0 is no horizon: each cell's config is checked up front
+    # N = 64 is above the horizon 32, and 0 is no horizon: each cell's config is checked up front;
+    # two horizons allow no fit, abc is no number, and a repeated horizon would count twice in the fit
     cells = []
     real_run = harness.run
     monkeypatch.setattr(harness, "run", lambda cfg, *args, **kwargs: cells.append(cfg) or real_run(cfg, *args, **kwargs))
@@ -495,7 +522,7 @@ def test_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
     with pytest.raises(ValueError, match="seed"):
         sweep(small_config(T=64), [64, 128, 256], [])
     cfg_path = write_config(tmp_path)
-    assert cli_main(["sweep", "--config", str(cfg_path), "--T", "64,128,256", "--seeds", "0"]) == 2
+    assert cli_main(["sweep", "--config", str(cfg_path), "--T", "64,128,256", "--seeds", "0"]) == 1
     captured = capsys.readouterr()
     assert "slope=" not in captured.out and "seed" in captured.err
 
@@ -568,12 +595,17 @@ def test_cli_metrics_rejects_an_empty_order_list(tmp_path, capsys):
     with pytest.raises(ValueError, match="order"):
         compute_metrics_for_run_dir(out_dir, [])
     capsys.readouterr()
-    assert cli_main(["metrics", "--run", str(out_dir), "--r", ","]) == 2
+    assert cli_main(["metrics", "--run", str(out_dir), "--r", ","]) == 1
     assert "order" in capsys.readouterr().err
     for orders in ("nan", "inf", "2,nan", "0.5"):
-        assert cli_main(["metrics", "--run", str(out_dir), "--r", orders]) == 2, orders
+        assert cli_main(["metrics", "--run", str(out_dir), "--r", orders]) == 1, orders
         captured = capsys.readouterr()
         assert "metrics:" not in captured.out and "order r must be a finite number at least 1" in captured.err
+    assert cli_main(["metrics", "--run", str(out_dir), "--r", "abc"]) == 1
+    assert "config error: --r: 'abc' is not a comma-separated list of numbers" in capsys.readouterr().err
+    # the orders are checked before any file is read: a missing run directory goes unnoticed
+    assert cli_main(["metrics", "--run", str(tmp_path / "no_run"), "--r", "0.5"]) == 1
+    assert "config error: the error order r" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

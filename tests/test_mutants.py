@@ -19,6 +19,7 @@ import swapcal.engine as engine_mod
 import swapcal.experts as experts_mod
 import test_engine
 import test_experts
+import test_learners
 from swapcal.experts import ExpertState
 from swapcal.harness import ExperimentConfig, audit_result, run
 from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
@@ -133,6 +134,16 @@ MUTANTS = {
             source_mutant(engine_mod.solve_distribution, "p_lo, p_hi = b / denom, a / denom", "p_lo, p_hi = a / denom, b / denom"),
         )
     ],
+    "mwu_rate_over_rounds_squared": [
+        (
+            FiniteLearnerBank.observe_pair,
+            "__code__",
+            source_mutant(FiniteLearnerBank.observe_pair, "np.sqrt(self.log_size / rounds)", "np.sqrt(self.log_size / rounds**2)"),
+        )
+    ],
+    "ogd_projects_outside_radius_two": [
+        (LinearLearnerBank.observe_pair, "__code__", source_mutant(LinearLearnerBank.observe_pair, "if sq > 1.0:", "if sq > 4.0:"))
+    ],
 }
 CASES = [
     ("no_expert_update", "efficient"),
@@ -155,12 +166,20 @@ CASES = [
 #   whose master weights must agree at 1e-12;
 # - law_probabilities_swapped, P(lo) and P(hi) exchanged so the law leans
 #   toward the larger |phi| (both engines fail the audit at about 0.80
-#   against the bound 4.9e-4 on seed 3): the per-round audit.
+#   against the bound 4.9e-4 on seed 3): the per-round audit;
+# - mwu_rate_over_rounds_squared, the MWU rate sqrt(log|F| / n^2) in place
+#   of sqrt(log|F| / n) (efficient engine 18.28, 17.50, 14.65), and
+#   ogd_projects_outside_radius_two, the OGD iterate projected only once
+#   its squared norm passes 4 (no unit-ball learner runs on the gate's
+#   finite class): faults in the learning rule itself, caught by the bank
+#   rows against their standalone reference learners bit for bit.
 CAUGHT_BY = {
     "learner_fed_wrong_bin": test_engine.test_learner_bookkeeping_counts_match_bins,
     "eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
     "master_eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
     "law_probabilities_swapped": audit_holds,
+    "mwu_rate_over_rounds_squared": test_learners.test_observe_pair_block_matches_two_observes_bit_for_bit,
+    "ogd_projects_outside_radius_two": test_learners.test_linear_observe_pair_in_place_matches_two_observes_bit_for_bit,
 }
 
 
