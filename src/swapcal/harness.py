@@ -20,6 +20,13 @@ audit and ``metrics`` read them back through one checked reader.  The
 audit reads config.json, laws.csv and transcript.csv: a round's expected
 audit needs phi only at its support bins, which transcript.csv holds.
 Those columns are the only record of the profile, in memory and on disk.
+The laws are kept the same way: ``run`` stores each round's law into the
+three preallocated columns of a ``LawRecord`` (kind code, p1, and p2, NaN
+for a one-parameter kind), ``persist_run`` writes laws.csv from them, and
+laws.csv's checked reader returns the same record, so both audits run one
+function on one type.  The readers split each per-round log into
+columns, not rows, so reading a run directory keeps no Python object per
+round either.
 
 Wall-clock timing goes to stdout only, keeping every persisted file
 byte-identical across replays of the same config.
@@ -47,8 +54,7 @@ from .hypotheses import NORM_TOL, parse_class
 from .metrics import TRANSCRIPT_COLUMNS, Transcript, aggregate, cal, check_order, mcal, mcal_is_exact, smcal
 from .properties import (
     LAW_KINDS,
-    LabelLaw,
-    LawColumns,
+    LawRecord,
     Property,
     invalid_law_params,
     marginal_identification,
@@ -57,6 +63,7 @@ from .properties import (
 
 AUDIT_SLACK = 1e-9
 TRANSCRIPT_HEADER = ["t", *TRANSCRIPT_COLUMNS]
+LAWS_HEADER = ["t", "kind", "p1", "p2"]
 _INTEGER_COLUMNS = ("t", "bin", "j_lo", "j_hi")
 _CONFIG_KEYS = {
     "engine",
@@ -87,7 +94,9 @@ class ConfigError(ValueError):
 
 
 def _whole_number(name: str, value) -> int:
-    """``int(value)``, refusing a value that ``int`` would truncate, such as 64.9."""
+    """``int(value)``, refusing a bool (int takes a JSON true for 1) and a value that ``int`` would truncate, such as 64.9."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -212,11 +221,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """A finished run: its transcript (transcript.csv's columns and the contexts) and laws."""
+    """A finished run: its transcript (transcript.csv's columns and the contexts) and laws.
+
+    ``laws`` holds laws.csv's columns: each round's law kind as an index
+    into LAW_KINDS, p1, and p2, NaN for a kind that takes one parameter.
+    """
 
     config: ExperimentConfig
     transcript: Transcript
-    laws: list[LabelLaw]
+    laws: LawRecord
     rho: float
     metrics: dict
     wall_time: float
@@ -230,12 +243,13 @@ def run(config: ExperimentConfig, out_dir=None):
     engine_cls = EfficientForecaster if config.engine == "efficient" else InefficientForecaster
     engine = engine_cls(grid, prop, cls_obj, streams["engine"])
     adv_rng = streams["adversary"]
-    laws: list[LabelLaw] = []
+    laws = LawRecord.empty(config.T)
+    put_law = laws.put
     start = time.perf_counter()
-    for _ in range(config.T):
+    for t in range(config.T):
         x = adversary.next_context(adv_rng)
         law = adversary.next_label_law(x)  # fixed before the forecaster samples
-        laws.append(law)
+        put_law(t, law)
         p, y = engine.step(x, lambda: sample_label(law, adv_rng))
         adversary.observe(p, y)
     wall = time.perf_counter() - start
@@ -296,12 +310,15 @@ def persist_run(result: RunResult, out_dir: Path) -> None:
         ["t"] + [f"x{k}" for k in range(d)],
         ((t, *row) for t, row in enumerate(tr.features.tolist(), start=1)),
     )
+    laws = result.laws
     _write_csv(
         out_dir / "laws.csv",
-        ["t", "kind", "p1", "p2"],
-        (
-            (t + 1, law.kind, law.params[0], law.params[1] if len(law.params) > 1 else "")
-            for t, law in enumerate(result.laws)
+        LAWS_HEADER,
+        zip(
+            range(1, laws.kind.size + 1),
+            np.array(LAW_KINDS)[laws.kind].tolist(),
+            laws.p1.tolist(),
+            ["" if math.isnan(v) else v for v in laws.p2.tolist()],
         ),
     )
     header = list(result.metrics.keys())
@@ -317,14 +334,23 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _read_rounds(path: Path, T: int) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a per-round log, checked to hold rounds t = 1..T in order, each complete."""
-    header, rows = read_csv(path)
-    if len(rows) != T:
-        raise ValueError(f"{path.name} holds {len(rows)} rounds, the config says T={T}")
-    for t, row in enumerate(rows, start=1):
-        if len(row) != len(header) or row[0] != str(t):
+    """Header and columns of a per-round log, checked to hold rounds t = 1..T in order, each complete.
+
+    The cells are split out of the whole body at once and sliced into
+    columns, so no list is kept per row.
+    """
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path.name} is empty")
+    header, body = lines[0].split(","), lines[1:]
+    if len(body) != T:
+        raise ValueError(f"{path.name} holds {len(body)} rounds, the config says T={T}")
+    commas = len(header) - 1
+    for t, line in enumerate(body, start=1):
+        if line.count(",") != commas or line.partition(",")[0] != str(t):
             raise ValueError(f"{path.name}: row {t} is not a complete record of round {t}")
-    return header, rows
+    cells = ",".join(body).split(",")
+    return header, [cells[k :: len(header)] for k in range(len(header))]
 
 
 def _parse_column(path: Path, name: str, values, dtype) -> np.ndarray:
@@ -363,12 +389,12 @@ def read_transcript(path: Path, grid: GridConfig) -> dict[str, np.ndarray]:
     point, a label in [0, 1], and one phi value per support bin.  The
     first bad entry raises a ValueError naming the file, row and column.
     """
-    header, rows = _read_rounds(path, grid.T)
+    header, columns = _read_rounds(path, grid.T)
     if header != TRANSCRIPT_HEADER:
         raise ValueError(f"{path.name}: header {','.join(header)} is not {','.join(TRANSCRIPT_HEADER)}")
     c = {
         name: _parse_column(path, name, values, np.int64 if name in _INTEGER_COLUMNS else np.float64)
-        for name, values in zip(header, zip(*rows))
+        for name, values in zip(header, columns)
     }
     T, j_lo, j_hi, prob_lo = grid.T, c["j_lo"], c["j_hi"], c["prob_lo"]
     on_hi = c["p_tilde"] == j_hi / T
@@ -390,14 +416,9 @@ def read_transcript(path: Path, grid: GridConfig) -> dict[str, np.ndarray]:
 
 def _read_contexts(path: Path, T: int) -> np.ndarray:
     """The (T, d) rows of contexts.csv, each checked to be a Context: finite, squared norm at most 1 + NORM_TOL."""
-    header, rows = _read_rounds(path, T)
-    try:
-        features = np.array(rows, dtype=np.float64)[:, 1:]
-    except ValueError:
-        for k, name in enumerate(header):
-            _parse_column(path, name, [row[k] for row in rows], np.float64)
-        raise
+    header, columns = _read_rounds(path, T)
     names = header[1:]
+    features = np.column_stack([_parse_column(path, name, column, np.float64) for name, column in zip(names, columns[1:])])
     widest = np.argmax(np.abs(features), axis=1)
     too_long = np.einsum("ij,ij->i", features, features) > 1.0 + NORM_TOL
     checks = [(name, ~np.isfinite(features[:, k]), "not finite") for k, name in enumerate(names)]
@@ -409,35 +430,31 @@ def _read_contexts(path: Path, T: int) -> np.ndarray:
     return features
 
 
-def _law_groups(kinds: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> list[tuple[np.ndarray, LawColumns]]:
-    """Per-round laws as (rounds, laws) groups, one per law kind; p2 is read for beta laws only."""
-    groups = []
-    for kind in np.unique(kinds).tolist():
-        rows = np.flatnonzero(kinds == kind)
-        groups.append((rows, LawColumns(kind, (p1[rows], p2[rows]) if kind == "beta" else (p1[rows],))))
-    return groups
-
-
-def _read_laws(path: Path, T: int) -> list[tuple[np.ndarray, LawColumns]]:
-    """The laws of laws.csv as (rounds, laws) groups; a bad kind or parameter is named by row and column."""
-    _, rows = _read_rounds(path, T)
-    kinds = np.array([row[1] for row in rows])
-    p2 = np.array([row[3] for row in rows])
+def _read_laws(path: Path, T: int) -> LawRecord:
+    """The laws of laws.csv, as ``run`` records them; a bad kind or parameter is named by row and column."""
+    header, columns = _read_rounds(path, T)
+    if header != LAWS_HEADER:
+        raise ValueError(f"{path.name}: header {','.join(header)} is not {','.join(LAWS_HEADER)}")
+    _, kinds, p1, p2 = columns
+    kinds, p2 = np.array(kinds), np.array(p2)
     beta = kinds == "beta"
     checks = (
         ("kind", ~np.isin(kinds, LAW_KINDS), f"not a law kind ({', '.join(LAW_KINDS)})"),
         ("p2", (p2 == "") == beta, "not what the row's law takes: a number for beta laws, else blank"),
     )
     _reject_bad_rows(path, {"kind": kinds, "p2": p2}, checks)
-    p1 = _parse_column(path, "p1", [row[2] for row in rows], np.float64)
+    p1 = _parse_column(path, "p1", p1, np.float64)
     p2 = _parse_column(path, "p2", np.where(beta, p2, "nan").tolist(), np.float64)
+    codes = np.zeros(T, dtype=np.int8)
     bad = np.zeros((2, T), dtype=bool)
-    for kind in LAW_KINDS:
+    for code, kind in enumerate(LAW_KINDS):
+        of_kind = kinds == kind
+        codes[of_kind] = code
         for k, mask in enumerate(invalid_law_params(kind, (p1, p2))):
-            bad[k] |= (kinds == kind) & mask
+            bad[k] |= of_kind & mask
     checks = (("p1", bad[0], "out of range for the row's law"), ("p2", bad[1], "out of range for a beta law"))
     _reject_bad_rows(path, {"p1": p1, "p2": p2}, checks)
-    return _law_groups(kinds, p1, p2)
+    return LawRecord(codes, p1, p2)
 
 
 @dataclass
@@ -453,22 +470,19 @@ class AuditReport:
         return cls(values, bound, max_value, max_value <= bound)
 
 
-def audit_values(
-    prop: Property, grid: GridConfig, laws: list[tuple[np.ndarray, LawColumns]], rounds: dict[str, np.ndarray]
-) -> np.ndarray:
+def audit_values(prop: Property, grid: GridConfig, laws: LawRecord, rounds: dict[str, np.ndarray]) -> np.ndarray:
     """E_{p ~ P_t}[phi_t(p) * marginal residual(p, law_t)] of every round t.
 
-    ``laws`` holds (rounds, laws) groups of one law kind each, and
-    ``rounds`` the transcript columns j_lo, j_hi, prob_lo, phi_lo and
-    phi_hi.  The marginal residuals are computed per law kind over all of
-    its rounds, and every value comes out of the same float operations as
-    the one-round form kept as a reference in the tests, so the two agree
-    bit for bit.
+    ``laws`` holds each round's law, and ``rounds`` the transcript columns
+    j_lo, j_hi, prob_lo, phi_lo and phi_hi.  The marginal residuals are
+    computed per law kind over all of its rounds, and every value comes
+    out of the same float operations as the one-round form kept as a
+    reference in the tests, so the two agree bit for bit.
     """
     j_lo, j_hi, prob_lo = rounds["j_lo"], rounds["j_hi"], rounds["prob_lo"]
     marginal_lo = np.empty(prob_lo.size)
     marginal_hi = np.empty(prob_lo.size)
-    for rows, law in laws:
+    for rows, law in laws.by_kind():
         marginal_lo[rows] = marginal_identification(prop, j_lo[rows] / grid.T, law)
         marginal_hi[rows] = marginal_identification(prop, j_hi[rows] / grid.T, law)
     value = prob_lo * rounds["phi_lo"] * marginal_lo
@@ -480,12 +494,7 @@ def audit_result(result: RunResult) -> AuditReport:
     """Audit a freshly executed run (no file round trip)."""
     prop = parse_property(result.config.property_spec)
     tr = result.transcript
-    laws = _law_groups(
-        np.array([law.kind for law in result.laws]),
-        np.array([law.params[0] for law in result.laws]),
-        np.array([law.params[-1] for law in result.laws]),
-    )
-    values = audit_values(prop, tr.grid, laws, tr.columns())
+    values = audit_values(prop, tr.grid, result.laws, tr.columns())
     return AuditReport.of(values, result.rho / tr.grid.T + AUDIT_SLACK)
 
 
@@ -543,15 +552,17 @@ def sweep(base: ExperimentConfig, T_values, seeds, out_dir=None) -> SweepReport:
 
     N is recomputed per horizon from the default tuning unless the base
     config pins it explicitly.  The fit regresses log mean-smcal on log T.
-    The horizons must be at least three and distinct, and every cell's
-    config is validated before the first cell runs, so a bad horizon or
-    seed list raises ``ConfigError`` and writes nothing.  Any cell failure
-    aborts the sweep; completed rows are persisted first.
+    The horizons must be at least three and distinct, the seeds distinct,
+    and every cell's config is validated before the first cell runs, so a
+    bad horizon or seed list raises ``ConfigError`` and writes nothing.
+    Any cell failure aborts the sweep; completed rows are persisted first.
     """
     T_values = [_whole_number("T", t) for t in T_values]
     seeds = [_whole_number("seed", s) for s in seeds]
     if len(set(T_values)) != len(T_values):
         raise ConfigError(f"T: a horizon is repeated in {T_values}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: a seed is repeated in {seeds}")
     if len(T_values) < 3:
         raise ConfigError("T: need at least three distinct horizons")
     if not seeds:

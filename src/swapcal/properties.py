@@ -204,6 +204,52 @@ class LawColumns:
         return _law_partial_mean(self.kind, self.params, p)
 
 
+@dataclass(frozen=True)
+class LawRecord:
+    """Label laws of any kinds, one per round, as three columns: a run's record of its laws.
+
+    ``kind`` holds indices into LAW_KINDS, ``p1`` each law's first
+    parameter and ``p2`` its second, NaN for a kind that takes one.  A run
+    fills a record with ``put`` round by round; laws.csv holds the same
+    columns.  ``by_kind`` splits it into checked LawColumns.
+    """
+
+    kind: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+
+    @classmethod
+    def empty(cls, rounds: int) -> "LawRecord":
+        """A record of ``rounds`` laws to fill with ``put``."""
+        return cls(np.zeros(rounds, dtype=np.int8), np.empty(rounds), np.full(rounds, np.nan))
+
+    def put(self, t: int, law: LabelLaw) -> None:
+        """Store law as round t's entry; a fresh record's p2 is already NaN."""
+        params = law.params
+        self.kind[t] = _LAW_CODES[law.kind]
+        self.p1[t] = params[0]
+        if len(params) > 1:
+            self.p2[t] = params[1]
+
+    def by_kind(self) -> list[tuple[slice | np.ndarray, LawColumns]]:
+        """(rounds, laws) of each kind present, every parameter checked.
+
+        When one kind holds every round, the rounds are ``slice(None)`` and
+        its laws are the whole columns, with no gather.
+        """
+        counts = np.bincount(self.kind, minlength=len(LAW_KINDS))
+        groups = []
+        for code in np.flatnonzero(counts).tolist():
+            rows = slice(None) if counts[code] == self.kind.size else np.flatnonzero(self.kind == code)
+            kind = LAW_KINDS[code]
+            params = (self.p1[rows], self.p2[rows]) if kind == "beta" else (self.p1[rows],)
+            groups.append((rows, LawColumns(kind, params)))
+        return groups
+
+
+_LAW_CODES = {kind: code for code, kind in enumerate(LAW_KINDS)}
+
+
 def invalid_law_params(kind: str, params: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Per parameter of a law kind, the entries of its column that LabelLaw rejects.
 

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,19 +13,22 @@ from swapcal.engine import GridConfig
 from swapcal.harness import (
     ConfigError,
     ExperimentConfig,
+    _read_laws,
     audit_result,
     audit_run_dir,
     audit_values,
     component_streams,
     compute_metrics_for_run_dir,
     fit_power_law,
+    persist_run,
     read_csv,
     run,
     sweep,
 )
 from swapcal.properties import (
+    LAW_KINDS,
     LabelLaw,
-    LawColumns,
+    LawRecord,
     Property,
     bernoulli_law,
     beta_law,
@@ -32,6 +38,7 @@ from swapcal.properties import (
     point_mass_law,
 )
 from helpers import dense_gains, record_fed_gains
+from test_pinned_digests import WORKLOADS
 
 
 def audit_round(
@@ -106,6 +113,19 @@ def test_config_rejects_a_count_that_int_would_truncate(key, value):
     with pytest.raises(ConfigError, match=f"{key}: must be a whole number, got {value}"):
         small_config(**{key: value})
     assert small_config(**{key: float(int(value))}).to_dict()[key] == int(value)  # a whole float is that integer
+
+
+@pytest.mark.parametrize("key", ["T", "N", "seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_a_json_boolean_as_a_count(tmp_path, capsys, key, value):
+    # bool is an int subclass, so int(true) would pass as 1
+    with pytest.raises(ConfigError, match=f"{key}: must be a whole number, got {value}"):
+        small_config(**{key: value})
+    cfg_path = write_config(tmp_path, **{key: value})
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert f"config error: {key}: must be a whole number" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -289,11 +309,10 @@ def test_batched_audit_equals_scalar_reference_bit_for_bit(property_spec):
             laws.append(beta_law(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)))
         else:  # point masses on and off the grid
             laws.append(point_mass_law(float(rng.choice([j_lo[t] / grid.T, rng.random()]))))
-    groups = []
-    for kind in ("bernoulli", "beta", "point_mass"):
-        rows = np.flatnonzero([law.kind == kind for law in laws])
-        params = tuple(np.array([laws[t].params[k] for t in rows]) for k in range(len(laws[rows[0]].params)))
-        groups.append((rows, LawColumns(kind, params)))
+    record = LawRecord.empty(n)
+    for t, law in enumerate(laws):
+        record.put(t, law)
+    assert [rows.size for rows, _ in record.by_kind()] == [200, 200, 200]  # every kind, gathered
     rounds = {
         "j_lo": j_lo,
         "j_hi": j_hi,
@@ -301,12 +320,62 @@ def test_batched_audit_equals_scalar_reference_bit_for_bit(property_spec):
         "phi_lo": np.array([phi[t, grid.bin_of_index(int(j_lo[t])) - 1] for t in range(n)]),
         "phi_hi": np.array([phi[t, grid.bin_of_index(int(j_hi[t])) - 1] for t in range(n)]),
     }
-    batched = audit_values(prop, grid, groups, rounds)
+    batched = audit_values(prop, grid, record, rounds)
     reference = np.array(
         [audit_round(prop, grid, laws[t], j_lo[t] / grid.T, j_hi[t] / grid.T, prob_lo[t], phi[t]) for t in range(n)]
     )
     assert batched.view(np.int64).tolist() == reference.view(np.int64).tolist()
     assert np.signbit(reference[reference == 0.0]).any()  # the signed-zero case was exercised
+
+
+def test_mixed_kind_law_record_round_trips_through_laws_csv(tmp_path):
+    res = run(small_config(T=300))
+    rng = np.random.default_rng(5)
+    kind = rng.integers(0, len(LAW_KINDS), 300).astype(np.int8)
+    beta = kind == LAW_KINDS.index("beta")
+    p1 = np.where(beta, rng.uniform(0.2, 5.0, 300), rng.random(300))
+    p1[:4] = (0.0, 1.0, 5e-324, 1.0 / 3.0)  # ends of the unit interval, a subnormal, a long repr
+    kind[:4] = LAW_KINDS.index("point_mass")
+    p2 = np.where(kind == LAW_KINDS.index("beta"), rng.uniform(0.2, 5.0, 300), np.nan)
+    record = LawRecord(kind, p1, p2)
+    persist_run(dataclasses.replace(res, laws=record), tmp_path)
+    back = _read_laws(tmp_path / "laws.csv", 300)
+    assert back.kind.tolist() == kind.tolist()
+    assert back.p1.view(np.int64).tolist() == p1.view(np.int64).tolist()
+    assert ((back.p2 == p2) | (np.isnan(back.p2) & np.isnan(p2))).all()
+    _, rows = read_csv(tmp_path / "laws.csv")
+    assert [row[1] for row in rows] == [LAW_KINDS[k] for k in kind.tolist()]
+    assert [row[3] == "" for row in rows] == np.isnan(p2).tolist()  # p2 blank for one-parameter kinds
+
+
+def test_single_kind_law_record_is_audited_without_a_gather():
+    res = run(small_config(T=300))
+    ((rows, laws),) = res.laws.by_kind()
+    assert rows == slice(None) and laws.kind == "bernoulli"
+    assert np.shares_memory(laws.params[0], res.laws.p1)
+
+
+def _blocks_held_by_a_run(config: dict, T: int) -> int:
+    """Live tracemalloc blocks that a RunResult holds: those freed when it is dropped."""
+    tracemalloc.start()
+    try:
+        result = run(ExperimentConfig.from_dict({**config, "T": T, "seed": 1}))
+        gc.collect()
+        held = tracemalloc.take_snapshot()
+        del result
+        gc.collect()
+        freed = held.compare_to(tracemalloc.take_snapshot(), "filename")
+    finally:
+        tracemalloc.stop()
+    return sum(stat.count_diff for stat in freed)
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_a_run_holds_no_python_object_per_round(workload):
+    # a list of per-round LabelLaw objects held about four blocks per round
+    config, _ = WORKLOADS[workload]
+    small, large = _blocks_held_by_a_run(config, 512), _blocks_held_by_a_run(config, 2048)
+    assert abs(large - small) <= 8, (small, large)
 
 
 def test_fed_gain_replay_matches_engine_log(monkeypatch):
@@ -497,7 +566,18 @@ def test_run_dir_readers_reject_misnumbered_or_partial_rows(tmp_path):
     tr_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="round 50"):
         audit_run_dir(tmp_path)
+    lines = original.splitlines()
+    lines[10] += ",0.5"  # one cell too many would shift every later cell into the next column
+    tr_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 10 is not a complete record of round 10"):
+        audit_run_dir(tmp_path)
     tr_path.write_text(original)
+    laws_path = tmp_path / "laws.csv"
+    laws = laws_path.read_text()
+    laws_path.write_text(laws.replace("t,kind,p1,p2", "t,kind,p2,p1", 1))  # columns read by position
+    with pytest.raises(ValueError, match="laws.csv: header t,kind,p2,p1 is not t,kind,p1,p2"):
+        audit_run_dir(tmp_path)
+    laws_path.write_text(laws)
     _truncate(tmp_path / "contexts.csv", 49)
     with pytest.raises(ValueError, match="contexts.csv"):
         compute_metrics_for_run_dir(tmp_path, [2.0])
@@ -515,6 +595,17 @@ def test_cli_sweep_rejects_a_bad_horizon_before_any_cell_runs(tmp_path, capsys, 
     assert cli_main(["sweep", "--config", str(cfg_path), "--T", horizons, "--out", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert "slope=" not in captured.out and "config error:" in captured.err
+    assert cells == [] and not out_dir.exists()
+
+
+def test_sweep_rejects_a_repeated_seed_before_any_cell_runs(tmp_path, monkeypatch):
+    # seed 0 twice would count twice in every horizon's mean smcal and so in the slope
+    cells = []
+    real_run = harness.run
+    monkeypatch.setattr(harness, "run", lambda cfg, *args, **kwargs: cells.append(cfg) or real_run(cfg, *args, **kwargs))
+    out_dir = tmp_path / "sweep_out"
+    with pytest.raises(ConfigError, match=r"seeds: a seed is repeated in \[0, 0, 1\]"):
+        sweep(small_config(T=64), [64, 128, 256], [0, 0, 1], out_dir=out_dir)
     assert cells == [] and not out_dir.exists()
 
 

@@ -19,10 +19,12 @@ import swapcal.engine as engine_mod
 import swapcal.experts as experts_mod
 import test_engine
 import test_experts
+import test_harness
 import test_learners
 from swapcal.experts import ExpertState
 from swapcal.harness import ExperimentConfig, audit_result, run
 from swapcal.learners import FiniteLearnerBank, LinearLearnerBank
+from swapcal.properties import LawRecord
 
 SEEDS = (3, 4, 5)
 # Correct program at T = 2048 (mean, finite:groups=8,dim=4, logistic, seeds
@@ -144,6 +146,9 @@ MUTANTS = {
     "ogd_projects_outside_radius_two": [
         (LinearLearnerBank.observe_pair, "__code__", source_mutant(LinearLearnerBank.observe_pair, "if sq > 1.0:", "if sq > 4.0:"))
     ],
+    "law_p1_stores_last_param": [
+        (LawRecord.put, "__code__", source_mutant(LawRecord.put, "self.p1[t] = params[0]", "self.p1[t] = params[-1]"))
+    ],
 }
 CASES = [
     ("no_expert_update", "efficient"),
@@ -172,7 +177,11 @@ CASES = [
 #   ogd_projects_outside_radius_two, the OGD iterate projected only once
 #   its squared norm passes 4 (no unit-ball learner runs on the gate's
 #   finite class): faults in the learning rule itself, caught by the bank
-#   rows against their standalone reference learners bit for bit.
+#   rows against their standalone reference learners bit for bit;
+# - law_p1_stores_last_param, a recorded law's last parameter stored as its
+#   first (the gate's Bernoulli runs cannot see it: there both are the one
+#   mean): the batched audit of a record built with ``put`` from mixed
+#   laws, against the scalar audit of the laws themselves.
 CAUGHT_BY = {
     "learner_fed_wrong_bin": test_engine.test_learner_bookkeeping_counts_match_bins,
     "eta_squared_dropped": lambda: test_experts.test_window_update_matches_dense_reference(1, 41, 8192),
@@ -180,6 +189,7 @@ CAUGHT_BY = {
     "law_probabilities_swapped": audit_holds,
     "mwu_rate_over_rounds_squared": test_learners.test_observe_pair_block_matches_two_observes_bit_for_bit,
     "ogd_projects_outside_radius_two": test_learners.test_linear_observe_pair_in_place_matches_two_observes_bit_for_bit,
+    "law_p1_stores_last_param": lambda: test_harness.test_batched_audit_equals_scalar_reference_bit_for_bit("mean"),
 }
 
 
